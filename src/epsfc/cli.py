@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import random
 import sys
 import time
@@ -376,6 +377,9 @@ def _run_cell(cell: dict) -> dict:
 
 
 def cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = min(args.jobs, os.cpu_count() or 1)
     config = json.loads(Path(args.config).read_text())
     if args.seed is not None:
         config["seed"] = args.seed
@@ -386,8 +390,8 @@ def cmd_experiment(args) -> int:
         with open(out, newline="") as fh:
             done = {line["cell"] for line in csv.DictReader(fh)}
     pending = [c for c in cells if str(c["cell"]) not in done]
-    if args.jobs > 1 and pending:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if jobs > 1 and pending:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_cell, pending))
     else:
         rows = [_run_cell(c) for c in pending]
@@ -436,11 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="agent count (required with --samples)")
     p.add_argument("--dist", help="distribution spec (anonymous window, game input)")
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--alpha", type=float)
     p.add_argument("--ordering", help="JSON size ordering for anon-sp")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--trace", help="write the construction trace as JSON")
     p.set_defaults(func=cmd_stabilize)
@@ -464,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, help="override the config root seed")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
     p.set_defaults(func=cmd_experiment)
 
     return parser

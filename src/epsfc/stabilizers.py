@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .distributions import SizeInterval
 from .errors import EmptyIntervalError, LearningError
 from .games import Coalition, Partition, SimpleFHG, SinglePeakedCertificate, bits_of
+from .verification import audit_green_anonymous
 
 __all__ = [
     "FhgThresholds",
@@ -244,17 +245,6 @@ def _fill_blocks(ordered_agents, s_star, q, r, n):
     return Partition(blocks, n)
 
 
-def _green_agents(view, partition, sizes):
-    size_set = set(sizes)
-    green = []
-    for i in range(view.n):
-        top = max(view.value_of_size(i, s) for s in sizes)
-        s = partition.size_of(i)
-        if s in size_set and view.value_of_size(i, s) == top:
-            green.append(i)
-    return tuple(green)
-
-
 def stabilize_anonymous(view, interval) -> tuple[Partition, AnonStabilizerTrace]:
     """Pack agents into blocks of the window size most of them prefer.
 
@@ -284,7 +274,7 @@ def stabilize_anonymous(view, interval) -> tuple[Partition, AnonStabilizerTrace]
         s_star=s_star,
         q=q,
         r=r,
-        green_agents=_green_agents(view, partition, sizes),
+        green_agents=tuple(audit_green_anonymous(view, partition, sizes)),
     )
     return partition, trace
 
@@ -339,7 +329,7 @@ def stabilize_single_peaked(
         s_star=s_star,
         q=q,
         r=r,
-        green_agents=_green_agents(view, partition, sizes),
+        green_agents=tuple(audit_green_anonymous(view, partition, sizes)),
         ordered_sizes=by_position,
         h_star=h_star,
         peaked_before=peaked_before,

@@ -1,12 +1,12 @@
 """Exact and statistical verification of core-blocking behaviour.
 
-The exact counters sweep every non-empty coalition as a bitmask in Gray-code
-order: each step flips one agent in or out, so the coalition size and the
-per-agent neighbor counts are maintained incrementally instead of being
-recomputed, and the per-coalition blocking test short-circuits on the first
-member who fails to improve. Anonymous games are cheaper still: for each
-size s, the agents that would strictly improve form one precomputed bitmask,
-and a coalition blocks iff it is a subset of the mask for its size.
+Fractional games are censused by sweeping every non-empty coalition as a
+bitmask in Gray-code order: each step flips one agent in or out, so the
+coalition size and the per-agent neighbor counts are maintained incrementally,
+and the per-coalition test short-circuits on the first member who fails to
+improve. Anonymous games need no sweep and no guard: the agents that would
+strictly improve at size s form one bitmask improve[s], a size-s coalition
+blocks iff it is a subset of it, so C(|improve[s]|, s) size-s coalitions block.
 
 Counts are split by coalition size, which is exactly what distribution-
 weighted blocking mass needs. Fractions and masses are exact rationals.
@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, islice
 from typing import Callable
 
 from .distributions import (
@@ -95,14 +96,12 @@ def _fhg_partition_context(game: SimpleFHG, partition: Partition):
 def _anon_improve_masks(game: AnonymousHG, partition: Partition) -> list[int]:
     """improve[s] = bitmask of agents strictly better off at size s."""
     n = game.n
-    current = [game.value_of_size(i, partition.size_of(i)) for i in range(n)]
     improve = [0] * (n + 1)
-    for s in range(1, n + 1):
-        m = 0
-        for i in range(n):
-            if game.value_of_size(i, s) > current[i]:
-                m |= 1 << i
-        improve[s] = m
+    for i in range(n):
+        current = game.value_of_size(i, partition.size_of(i))
+        for s in range(1, n + 1):
+            if game.value_of_size(i, s) > current:
+                improve[s] |= 1 << i
     return improve
 
 
@@ -171,42 +170,43 @@ def _enumerate_fhg(game: SimpleFHG, partition: Partition, witness_cap: int):
     return counts, witnesses
 
 
-def _enumerate_anon(game: AnonymousHG, partition: Partition, witness_cap: int):
-    n = game.n
-    improve = _anon_improve_masks(game, partition)
-    bad = [~m for m in improve]  # agents NOT improving at each size
-    counts = [0] * (n + 1)
-    witnesses = []
-    mask = 0
-    size = 0
-    for k in range(1, 1 << n):
-        bit = 1 << ((k & -k).bit_length() - 1)
-        size += -1 if mask & bit else 1
-        mask ^= bit
-        if mask & bad[size] == 0:
-            counts[size] += 1
-            if len(witnesses) < witness_cap:
-                witnesses.append(mask)
-    return counts, witnesses
+def _anon_counts(improve: list[int], avoid: int = 0) -> list[int]:
+    """Per-size counts of blockers disjoint from ``avoid``."""
+    return [0] + [math.comb((improve[s] & ~avoid).bit_count(), s) for s in range(1, len(improve))]
+
+
+def _first_meeting(pool: int, hit: int, s: int, limit: int) -> list[int]:
+    """Up to ``limit`` s-subsets of ``pool`` that meet ``hit``, as masks."""
+    if limit <= 0:
+        return []
+    limit = min(limit, math.comb(pool.bit_count(), s) - math.comb((pool & ~hit).bit_count(), s))
+    # with hit's members listed first, every subset meeting hit precedes any avoiding it
+    order = [*bits_of(pool & hit), *bits_of(pool & ~hit)]
+    return [mask_of(c) for c in islice(combinations(order, s), limit)]
 
 
 def _blocking_counts(game, partition: Partition, witness_cap: int):
-    check_subset_guard(game.n)
     if isinstance(game, SimpleFHG):
+        check_subset_guard(game.n)
         return _enumerate_fhg(game, partition, witness_cap)
     if isinstance(game, AnonymousHG):
-        return _enumerate_anon(game, partition, witness_cap)
+        improve = _anon_improve_masks(game, partition)
+        witnesses = []
+        for s in range(1, game.n + 1):
+            witnesses += _first_meeting(improve[s], -1, s, witness_cap - len(witnesses))
+        return _anon_counts(improve), witnesses
     raise TypeError(f"cannot enumerate blockers of {type(game).__name__}")
 
 
 def exact_blocking(
     game, partition: Partition, dist=None, witness_cap: int = WITNESS_CAP
 ) -> BlockingReport:
-    """Enumerate every non-empty coalition and count the core-blocking ones.
+    """Count the core-blocking coalitions among all 2^n - 1 non-empty ones.
 
-    The fraction is over all 2^n - 1 coalitions. When ``dist`` is given the
-    report also carries the exact probability mass of the blocking set under
-    it. Guarded by the enumeration limit.
+    When ``dist`` is given the report also carries the exact blocking mass.
+    Fractional games are swept behind the subset guard, witnesses in Gray-code
+    order. Anonymous games are counted in closed form at any n, witnesses by
+    ascending size, then as lexicographic combinations of the improving agents.
     """
     counts, witness_masks = _blocking_counts(game, partition, witness_cap)
     total = (1 << game.n) - 1
@@ -232,27 +232,21 @@ def exact_blocking_mass(game, partition: Partition, dist, _counts=None) -> Fract
     needs no enumeration guard; the two-level family distribution combines
     both.
     """
-    if isinstance(dist, (UniformCoalitions, SizeTilted)):
-        counts = _counts
-        if counts is None:
-            counts, _ = _blocking_counts(game, partition, 0)
-        return sum(
-            (counts[s] * dist.unit_mass_of_size(s) for s in range(1, game.n + 1)),
-            Fraction(0),
-        )
     if isinstance(dist, FamilyUniform):
         pred = blocker_predicate(game, partition)
         hits = sum(1 for c in dist.support if pred(c.mask))
         return Fraction(hits, len(dist.support))
+    if not isinstance(dist, (UniformCoalitions, SizeTilted, AdversarialBounded)):
+        raise TypeError(f"cannot compute blocking mass under {type(dist).__name__}")
+    counts = _blocking_counts(game, partition, 0)[0] if _counts is None else _counts
     if isinstance(dist, AdversarialBounded):
-        counts = _counts
-        if counts is None:
-            counts, _ = _blocking_counts(game, partition, 0)
-        total_blockers = sum(counts)
         pred = blocker_predicate(game, partition)
         family_hits = sum(1 for c in dist.family if pred(c.mask))
-        return family_hits * dist.p + (total_blockers - family_hits) * dist.p / dist.lam
-    raise TypeError(f"cannot compute blocking mass under {type(dist).__name__}")
+        return family_hits * dist.p + (sum(counts) - family_hits) * dist.p / dist.lam
+    return sum(
+        (counts[s] * dist.unit_mass_of_size(s) for s in range(1, game.n + 1)),
+        Fraction(0),
+    )
 
 
 def mc_blocking(
@@ -310,7 +304,7 @@ def audit_green_anonymous(view, partition: Partition, sizes) -> list[int]:
 
 @dataclass(frozen=True)
 class SpLemmaReport:
-    """Structural audit of a single-peaked packing against full enumeration.
+    """Structural audit of a single-peaked packing against the full blocker census.
 
     Checks that no blocker touches the at-peak agents placed in full-size
     blocks, that no window-sized blocker mixes the before-peak and after-peak
@@ -327,51 +321,49 @@ class SpLemmaReport:
     mixing_violations: tuple[Coalition, ...] = ()
 
 
+def _mixing_witnesses(improve_s: int, before: int, after: int, s: int, limit: int) -> list[int]:
+    """Up to ``limit`` s-subsets of ``improve_s`` meeting both disjoint camps, as masks."""
+    found: list[int] = []
+    bs = improve_s & before
+    for b in bits_of(bs):  # b is the subset's lowest before-member, so none repeats
+        pool = improve_s & ~(bs & ((2 << b) - 1))
+        found += [m | 1 << b for m in _first_meeting(pool, after, s - 1, limit - len(found))]
+    return found
+
+
 def check_sp_lemmas(
     game: AnonymousHG, partition: Partition, sizes, trace
 ) -> SpLemmaReport:
-    """Enumerate all blockers and audit the single-peaked packing's lemmas."""
+    """Count all blockers in closed form and audit the single-peaked packing's lemmas."""
     n = game.n
-    check_subset_guard(n)
     size_set = set(sizes.sizes if isinstance(sizes, SizeInterval) else sizes)
     at_mask = mask_of(trace.at_in_star)
     before_mask = mask_of(trace.before_in_star)
     after_mask = mask_of(trace.after_in_star)
     improve = _anon_improve_masks(game, partition)
-    bad = [~m for m in improve]
+    total = _anon_counts(improve)
+    avoid_before = _anon_counts(improve, before_mask)
+    avoid_after = _anon_counts(improve, after_mask)
+    avoid_both = _anon_counts(improve, before_mask | after_mask)
     at_violations = []
     mixing_violations = []
-    blockers = 0
-    in_window = 0
-    mask = 0
-    size = 0
-    for k in range(1, 1 << n):
-        bit = 1 << ((k & -k).bit_length() - 1)
-        size += -1 if mask & bit else 1
-        mask ^= bit
-        if mask & bad[size]:
-            continue
-        blockers += 1
-        if mask & at_mask and len(at_violations) < WITNESS_CAP:
-            at_violations.append(Coalition(mask))
-        if size in size_set:
-            in_window += 1
-            if (
-                mask & before_mask
-                and mask & after_mask
-                and len(mixing_violations) < WITNESS_CAP
-            ):
-                mixing_violations.append(Coalition(mask))
+    for s in range(1, n + 1):
+        at_violations += _first_meeting(improve[s], at_mask, s, WITNESS_CAP - len(at_violations))
+        if s in size_set:
+            mixing = total[s] - avoid_before[s] - avoid_after[s] + avoid_both[s]
+            room = min(mixing, WITNESS_CAP - len(mixing_violations))
+            mixing_violations += _mixing_witnesses(improve[s], before_mask, after_mask, s, room)
+    in_window = sum(total[s] for s in range(1, n + 1) if s in size_set)
     bound = 2.0 ** (3 * n / 4 + 1)
     count_ok = in_window <= bound
     return SpLemmaReport(
         ok=not at_violations and not mixing_violations and count_ok,
-        blockers=blockers,
+        blockers=sum(total),
         blockers_in_window=in_window,
         window_bound=bound,
         count_ok=count_ok,
-        at_peak_violations=tuple(at_violations),
-        mixing_violations=tuple(mixing_violations),
+        at_peak_violations=tuple(map(Coalition, at_violations)),
+        mixing_violations=tuple(map(Coalition, mixing_violations)),
     )
 
 
@@ -513,8 +505,18 @@ def gr_decomposition(game, partition: Partition, gr_agents) -> GrDecomposition:
     exact.
     """
     n = game.n
-    check_subset_guard(n)
     gr_mask = mask_of(gr_agents)
+    if isinstance(game, AnonymousHG):
+        improve = _anon_improve_masks(game, partition)
+        blockers_avoiding = sum(_anon_counts(improve, gr_mask))
+        outside = n - (gr_mask & ((1 << n) - 1)).bit_count()
+        return GrDecomposition(
+            total_coalitions=(1 << n) - 1,
+            avoiding_gr=(1 << outside) - 1,
+            blockers_avoiding=blockers_avoiding,
+            blockers_meeting=sum(_anon_counts(improve)) - blockers_avoiding,
+        )
+    check_subset_guard(n)
     pred = blocker_predicate(game, partition)
     avoiding = 0
     blockers_avoiding = 0

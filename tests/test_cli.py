@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 
+from epsfc import cli
 from epsfc import io as eio
 from epsfc.cli import main
 
@@ -123,6 +125,14 @@ class TestStabilize:
 
     def test_game_and_samples_mutually_exclusive(self, tmp_path):
         assert run("stabilize", "--class", "fhg", "--out", tmp_path / "p.json") == 2
+
+    def test_removed_flags_are_usage_errors(self, tmp_path):
+        game = tmp_path / "g.json"
+        out = tmp_path / "p.json"
+        run("gen", "--kind", "fhg-random", "--n", 6, "--p", 0.5, "--out", game)
+        for flag in ("--delta", "--seed"):
+            assert run("stabilize", "--class", "fhg", "--game", game, "--out", out, flag, 1) == 2
+        assert not out.exists()
 
     def test_sample_driven_repeat_harness(self, tmp_path):
         # at the guaranteed sample budget the learner-backed run should
@@ -270,6 +280,36 @@ class TestExperiment:
         assert run("experiment", "--config", cfg, "--out", serial) == 0
         assert run("experiment", "--config", cfg, "--out", parallel, "--jobs", 2) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_jobs_below_one_usage_error(self, tmp_path):
+        cfg = self._config(tmp_path, n=[6], p=[0.5], seeds=[0], mc=0)
+        out = tmp_path / "grid.csv"
+        assert run("experiment", "--config", cfg, "--out", out, "--jobs", 0) == 2
+        assert not out.exists()
+
+    def test_jobs_clamped_to_cpu_count(self, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = self._config(tmp_path, n=[6], p=[0.5], seeds=[0, 1], mc=0)
+        out = tmp_path / "grid.csv"
+        assert run("experiment", "--config", cfg, "--out", out, "--jobs", 10**6) == 0
+        assert pools == [2]
+        assert len(list(csv.DictReader(out.open()))) == 2
 
     def test_anon_learn_pipeline_cells(self, tmp_path):
         cfg = self._config(

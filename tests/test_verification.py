@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsfc import (
     AnonymousHG,
@@ -33,7 +35,7 @@ from epsfc import (
     stabilize_fhg,
     stabilize_single_peaked,
 )
-from epsfc.verification import blocker_predicate, partition_from_assignment
+from epsfc.verification import WITNESS_CAP, blocker_predicate, partition_from_assignment
 from oracles import (
     anon_blocking_count_closed_form,
     naive_anon_blocking_count,
@@ -88,7 +90,7 @@ class TestExactBlocking:
         )
 
     def test_incremental_census_matches_direct_predicate_scan(self):
-        # the Gray-code sweep and the stateless predicate must agree mask-by-mask
+        # the census (Gray sweep or closed form) and the stateless predicate must agree
         rng = random.Random(8)
         for game_maker in (
             lambda: random_fhg(8, rng.uniform(0.2, 0.8), rng.getrandbits(32)),
@@ -386,3 +388,91 @@ class TestGrDecomposition:
             )
             _, hi = bartlett_bounds(Fraction(1, 2 ** len(green)), Fraction(1))
             assert mass <= outside + hi
+
+
+def _blocker_masks(game, partition):
+    """Every blocking mask, by a scan of the stateless predicate."""
+    pred = blocker_predicate(game, partition)
+    return [m for m in range(1, 1 << game.n) if pred(m)]
+
+
+class TestAnonClosedForm:
+    """The closed-form anonymous census against oracles and a full mask scan."""
+
+    @given(
+        st.integers(1, 12),
+        st.booleans(),
+        st.integers(0, 2 * WITNESS_CAP),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_census_witnesses_and_gr_split(self, n, single_peaked, cap, rnd):
+        seed = rnd.getrandbits(32)
+        g = random_anon_sp(n, seed)[0] if single_peaked else random_anon(n, seed)
+        p = random_partition(n, rnd.getrandbits(32))
+        found = _blocker_masks(g, p)
+        report = exact_blocking(g, p, UniformCoalitions(n), witness_cap=cap)
+        by_size = [0] * (n + 1)
+        for m in found:
+            by_size[m.bit_count()] += 1
+        assert list(report.blocking_by_size) == by_size
+        block_lists = [sorted(b.members()) for b in p.blocks]
+        assert report.blocking_count == naive_anon_blocking_count(g.table(), block_lists)
+        assert report.blocking_count == anon_blocking_count_closed_form(g.table(), block_lists)
+        assert report.mass == Fraction(len(found), 2**n - 1)
+        # documented order: ascending size, then lexicographic in agent ids
+        first = sorted(found, key=lambda m: (m.bit_count(), Coalition(m).members()))
+        assert [w.mask for w in report.witnesses] == first[:cap]
+        assert all(blocks(g, w, p) for w in report.witnesses)
+
+        gr = rnd.sample(range(n), rnd.randrange(n + 1))
+        gr_mask = sum(1 << i for i in gr)
+        dec = gr_decomposition(g, p, gr)
+        assert dec.avoiding_gr == sum(1 for m in range(1, 1 << n) if not m & gr_mask)
+        assert dec.blockers_avoiding == sum(1 for m in found if not m & gr_mask)
+        assert dec.blockers_meeting == sum(1 for m in found if m & gr_mask)
+
+    @given(
+        st.integers(2, 12),
+        st.booleans(),
+        st.sampled_from([0.05, 0.2, 0.5]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sp_lemma_counts_and_violations(self, n, stabilized, eps, rnd):
+        g, cert = random_anon_sp(n, rnd.getrandbits(32))
+        window = size_interval(float(mean_size(UniformCoalitions(n))), 1, eps, n)
+        partition, trace = stabilize_single_peaked(g, cert, window)
+        if not stabilized:
+            # keep the packing's camps but audit an unrelated partition
+            partition = random_partition(n, rnd.getrandbits(32))
+        report = check_sp_lemmas(g, partition, window, trace)
+        found = _blocker_masks(g, partition)
+        at = sum(1 << i for i in trace.at_in_star)
+        before = sum(1 << i for i in trace.before_in_star)
+        after = sum(1 << i for i in trace.after_in_star)
+        in_window = [m for m in found if m.bit_count() in window]
+        touching = [m for m in found if m & at]
+        mixing = [m for m in in_window if m & before and m & after]
+        assert report.blockers == len(found)
+        assert report.blockers_in_window == len(in_window)
+        assert len(report.at_peak_violations) == min(len(touching), WITNESS_CAP)
+        assert len(report.mixing_violations) == min(len(mixing), WITNESS_CAP)
+        assert {c.mask for c in report.at_peak_violations} <= set(touching)
+        assert {c.mask for c in report.mixing_violations} <= set(mixing)
+        assert len(set(report.at_peak_violations)) == len(report.at_peak_violations)
+        assert len(set(report.mixing_violations)) == len(report.mixing_violations)
+        assert report.ok == (not touching and not mixing and report.count_ok)
+
+    def test_census_is_unguarded_at_n_200(self, monkeypatch):
+        monkeypatch.delenv("EPSFC_MAX_N", raising=False)
+        n = 200
+        g = random_anon(n, 3)
+        p = random_partition(n, 4)
+        report = exact_blocking(g, p, UniformCoalitions(n))
+        expected = anon_blocking_count_closed_form(
+            g.table(), [b.members() for b in p.blocks]
+        )
+        assert expected > 0
+        assert report.blocking_count == expected
+        assert report.mass == Fraction(expected, 2**n - 1)
