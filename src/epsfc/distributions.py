@@ -53,7 +53,14 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         # Exact: every float is a dyadic rational.
         return Fraction(x)
+    if isinstance(x, str):
+        return Fraction(x)  # "p/q", as written by _spec_number
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _spec_number(x: Fraction):
+    """A JSON value that ``_as_fraction`` reads back exactly: an int or "p/q"."""
+    return x.numerator if x.denominator == 1 else str(x)
 
 
 def _uniform_subset_mask(rng, n: int, s: int) -> int:
@@ -157,10 +164,7 @@ class SizeTilted:
         )
 
     def spec(self) -> dict:
-        weights = [
-            w.numerator if w.denominator == 1 else float(w) for w in self.g
-        ]
-        return {"kind": "size_tilted", "g": weights}
+        return {"kind": "size_tilted", "g": [_spec_number(w) for w in self.g]}
 
     def __repr__(self) -> str:
         return f"SizeTilted(n={self.n}, lambda={float(self.lambda_bound()):g})"
@@ -294,11 +298,10 @@ class AdversarialBounded:
         return tuple(pmf)
 
     def spec(self) -> dict:
-        lam = self.lam
         return {
             "kind": "adversarial",
             "family": [[i + 1 for i in c.members()] for c in self.family],
-            "lambda": lam.numerator if lam.denominator == 1 else float(lam),
+            "lambda": _spec_number(self.lam),
         }
 
     def __repr__(self) -> str:

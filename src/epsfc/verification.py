@@ -1,12 +1,12 @@
 """Exact and statistical verification of core-blocking behaviour.
 
-Fractional games are censused by sweeping every non-empty coalition as a
-bitmask in Gray-code order: each step flips one agent in or out, so the
-coalition size and the per-agent neighbor counts are maintained incrementally,
-and the per-coalition test short-circuits on the first member who fails to
-improve. Anonymous games need no sweep and no guard: the agents that would
-strictly improve at size s form one bitmask improve[s], a size-s coalition
-blocks iff it is a subset of it, so C(|improve[s]|, s) size-s coalitions block.
+Fractional games are censused bit-parallel: the coalition masks are cut into
+blocks of 2^12, each agent's blocking test for a whole block is one Python int
+of side-by-side lane counters, and a block's blockers are the lanes that pass
+every agent's test, found with one AND per agent. Anonymous games need no
+census and no guard: the agents that would strictly improve at size s form one
+bitmask improve[s], a size-s coalition blocks iff it is a subset of it, so
+C(|improve[s]|, s) size-s coalitions block.
 
 Counts are split by coalition size, which is exactly what distribution-
 weighted blocking mass needs. Fractions and masses are exact rationals.
@@ -131,42 +131,76 @@ def blocker_predicate(game, partition: Partition) -> Callable[[int], bool]:
     return pred
 
 
-def _enumerate_fhg(game: SimpleFHG, partition: Partition, witness_cap: int):
+# The FHG census packs the coalitions of one block into one Python int per
+# agent; blocks of 2^12 lanes keep each int a few KB, so memory stays flat.
+_BLOCK_BITS = 12
+
+
+def _fhg_census(game: SimpleFHG, partition: Partition, allowed: int, witness_cap: int):
+    """Per-size blocker counts over the non-empty coalitions inside ``allowed``,
+    and the first ``witness_cap`` blockers in ascending mask order.
+
+    Bit-parallel: the m allowed agents get positions 0..m-1; the low b
+    positions vary across the 2^b lanes of a block, the others are fixed by
+    the block index. Every lane is w bits wide, and for agent i lane S holds
+
+        x_i(S) = K + T - 1 + den_i*|N_i & S| - num_i*|S| - K*[i in S]
+
+    with T = 2^(w-1) and K = n^2 + 1. Outside S the K term keeps x_i(S) >= T;
+    inside S, x_i(S) >= T iff den_i*|N_i & S| > num_i*|S|, i's blocking test.
+    So S blocks iff the top bit of its lane is set for every agent, and one
+    AND per agent tests a whole block.
+    """
     n = game.n
     adj = game.adj_masks
     num, den = _fhg_partition_context(game, partition)
-    in_neighbors = [[] for _ in range(n)]
-    for i in range(n):
-        for j in bits_of(adj[i]):
-            in_neighbors[j].append(i)
-    cnt = [0] * n  # |S & N_i| for the current S, maintained incrementally
+    agents = list(bits_of(allowed))
+    m = len(agents)
+    b = min(m, _BLOCK_BITS)
+    # Invariant: 0 <= x_i(S) < 2^w for every S, because den_i*|N_i & S| and
+    # num_i*|S| are at most n(n-1) < K and T > 2n^2 + 1 = 2K - 1. Adding c
+    # times ``ones`` (c of either sign) therefore turns each lane's value into
+    # another in-range value, and no carry or borrow crosses a lane.
+    w = (2 * n * n + 1).bit_length() + 1
+    top = 1 << (w - 1)
+    big = n * n + 1
+    ones = [1]  # ones[k]: a 1 in each of 2^k lanes
+    by_size = [top]  # by_size[s]: top bits of the lanes with s low members
+    for k in range(b):
+        shift = w << k
+        ones.append(ones[k] | ones[k] << shift)
+        by_size = [x | y << shift for x, y in zip(by_size + [0], [0] + by_size)]
+    tops = ones[b] << (w - 1)
+    # neighbors by position, and each agent's lanes over the low positions
+    nbr = [sum(1 << p for p, a in enumerate(agents) if adj[i] >> a & 1) for i in agents]
+    base = []
+    for k, i in enumerate(agents):
+        v = big + top - 1
+        for j in range(b):
+            c = den[i] * (nbr[k] >> j & 1) - num[i] - big * (j == k)
+            v |= (v + c * ones[j]) << (w << j)
+        base.append(v)
     counts = [0] * (n + 1)
     witnesses = []
-    mask = 0
-    size = 0
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1  # Gray code: bit j flips at step k
-        bit = 1 << j
-        if mask & bit:
-            size -= 1
-            for t in in_neighbors[j]:
-                cnt[t] -= 1
-        else:
-            size += 1
-            for t in in_neighbors[j]:
-                cnt[t] += 1
-        mask ^= bit
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if cnt[i] * den[i] <= num[i] * size:
+    for h in range(1 << (m - b)):
+        high = h << b
+        hsize = h.bit_count()
+        acc = tops ^ top if h == 0 else tops  # lane 0 of block 0 is the empty coalition
+        # agents placed by the block index: members first, then the varying ones
+        for k in [*bits_of(high), *range(b)]:
+            i = agents[k]
+            c = den[i] * (nbr[k] & high).bit_count() - num[i] * hsize - big * (high >> k & 1)
+            acc &= base[k] + c * ones[b] if c else base[k]
+            if not acc:
                 break
-            m ^= low
         else:
-            counts[size] += 1
-            if len(witnesses) < witness_cap:
-                witnesses.append(mask)
+            for s in range(b + 1):
+                counts[hsize + s] += (acc & by_size[s]).bit_count()
+            while acc and len(witnesses) < witness_cap:
+                low = acc & -acc
+                lane = low.bit_length() // w - 1
+                witnesses.append(mask_of(agents[k] for k in bits_of(high | lane)))
+                acc ^= low
     return counts, witnesses
 
 
@@ -188,7 +222,7 @@ def _first_meeting(pool: int, hit: int, s: int, limit: int) -> list[int]:
 def _blocking_counts(game, partition: Partition, witness_cap: int):
     if isinstance(game, SimpleFHG):
         check_subset_guard(game.n)
-        return _enumerate_fhg(game, partition, witness_cap)
+        return _fhg_census(game, partition, (1 << game.n) - 1, witness_cap)
     if isinstance(game, AnonymousHG):
         improve = _anon_improve_masks(game, partition)
         witnesses = []
@@ -204,9 +238,10 @@ def exact_blocking(
     """Count the core-blocking coalitions among all 2^n - 1 non-empty ones.
 
     When ``dist`` is given the report also carries the exact blocking mass.
-    Fractional games are swept behind the subset guard, witnesses in Gray-code
-    order. Anonymous games are counted in closed form at any n, witnesses by
-    ascending size, then as lexicographic combinations of the improving agents.
+    Fractional games are censused bit-parallel behind the subset guard,
+    witnesses in ascending mask order. Anonymous games are counted in closed
+    form at any n, witnesses by ascending size, then as lexicographic
+    combinations of the improving agents.
     """
     counts, witness_masks = _blocking_counts(game, partition, witness_cap)
     total = (1 << game.n) - 1
@@ -354,8 +389,11 @@ def check_sp_lemmas(
             room = min(mixing, WITNESS_CAP - len(mixing_violations))
             mixing_violations += _mixing_witnesses(improve[s], before_mask, after_mask, s, room)
     in_window = sum(total[s] for s in range(1, n + 1) if s in size_set)
-    bound = 2.0 ** (3 * n / 4 + 1)
-    count_ok = in_window <= bound
+    count_ok = in_window**4 <= 1 << (3 * n + 4)  # in_window <= 2^(3n/4 + 1), exactly
+    try:
+        bound = 2.0 ** (3 * n / 4 + 1)
+    except OverflowError:  # n >= 1364
+        bound = math.inf
     return SpLemmaReport(
         ok=not at_violations and not mixing_violations and count_ok,
         blockers=sum(total),
@@ -505,34 +543,19 @@ def gr_decomposition(game, partition: Partition, gr_agents) -> GrDecomposition:
     exact.
     """
     n = game.n
-    gr_mask = mask_of(gr_agents)
+    full = (1 << n) - 1
+    gr_mask = mask_of(gr_agents) & full
     if isinstance(game, AnonymousHG):
         improve = _anon_improve_masks(game, partition)
-        blockers_avoiding = sum(_anon_counts(improve, gr_mask))
-        outside = n - (gr_mask & ((1 << n) - 1)).bit_count()
-        return GrDecomposition(
-            total_coalitions=(1 << n) - 1,
-            avoiding_gr=(1 << outside) - 1,
-            blockers_avoiding=blockers_avoiding,
-            blockers_meeting=sum(_anon_counts(improve)) - blockers_avoiding,
+        blockers, avoiding = (sum(_anon_counts(improve, avoid)) for avoid in (0, gr_mask))
+    else:
+        check_subset_guard(n)
+        blockers, avoiding = (
+            sum(_fhg_census(game, partition, full & ~avoid, 0)[0]) for avoid in (0, gr_mask)
         )
-    check_subset_guard(n)
-    pred = blocker_predicate(game, partition)
-    avoiding = 0
-    blockers_avoiding = 0
-    blockers_meeting = 0
-    for mask in range(1, 1 << n):
-        hits_gr = bool(mask & gr_mask)
-        if not hits_gr:
-            avoiding += 1
-        if pred(mask):
-            if hits_gr:
-                blockers_meeting += 1
-            else:
-                blockers_avoiding += 1
     return GrDecomposition(
-        total_coalitions=(1 << n) - 1,
-        avoiding_gr=avoiding,
-        blockers_avoiding=blockers_avoiding,
-        blockers_meeting=blockers_meeting,
+        total_coalitions=full,
+        avoiding_gr=(1 << n - gr_mask.bit_count()) - 1,
+        blockers_avoiding=avoiding,
+        blockers_meeting=blockers - avoiding,
     )

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from epsfc import Coalition, Partition, SampleRecord, UniformCoalitions, draw_samples
+from epsfc import (
+    Coalition,
+    Partition,
+    SampleRecord,
+    UniformCoalitions,
+    adversarial_bounded,
+    draw_samples,
+)
 from epsfc import io as eio
 from epsfc.instances import random_anon_sp, random_fhg, random_partition
 import random
@@ -67,6 +74,24 @@ class TestDistributionSpecs:
         d = eio.distribution_from_dict({"kind": "size_tilted", "g": [2, 1, 1]}, 3)
         assert d.lambda_bound() == 2
         assert eio.distribution_from_dict(d.spec(), 3).g == d.g
+
+    def test_fraction_parameters_roundtrip_exactly(self):
+        tilted = eio.distribution_from_dict(
+            {"kind": "size_tilted", "g": ["1/3", 1, 1, 1]}, 4
+        )
+        assert tilted.g == (Fraction(1, 3), 1, 1, 1)
+        assert tilted.spec()["g"] == ["1/3", 1, 1, 1]
+        back = eio.distribution_from_dict(json.loads(json.dumps(tilted.spec())), 4)
+        assert back.g == tilted.g
+        assert back.lambda_bound() == 3
+        adv = adversarial_bounded([Coalition.of(0)], 4, Fraction(7, 3))
+        assert adv.spec()["lambda"] == "7/3"
+        back = eio.distribution_from_dict(json.loads(json.dumps(adv.spec())), 4)
+        assert (back.lam, back.p, back.family) == (adv.lam, adv.p, adv.family)
+
+    def test_plain_numbers_still_read(self):
+        d = eio.distribution_from_dict({"kind": "size_tilted", "g": [0.5, 1, 2]}, 3)
+        assert d.g == (Fraction(1, 2), 1, 2)
 
     def test_family_one_based(self):
         d = eio.distribution_from_dict({"kind": "family", "support": [[1], [2, 3]]}, 3)

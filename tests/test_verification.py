@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -90,7 +91,7 @@ class TestExactBlocking:
         )
 
     def test_incremental_census_matches_direct_predicate_scan(self):
-        # the census (Gray sweep or closed form) and the stateless predicate must agree
+        # the census (bit-parallel or closed form) and the stateless predicate must agree
         rng = random.Random(8)
         for game_maker in (
             lambda: random_fhg(8, rng.uniform(0.2, 0.8), rng.getrandbits(32)),
@@ -274,6 +275,16 @@ class TestSpLemmas:
             report = check_sp_lemmas(g, corrupted, window, trace)
             if not report.ok:
                 assert report.at_peak_violations or report.mixing_violations
+
+    def test_window_bound_beyond_float_range(self):
+        # 2^(3n/4 + 1) overflows a float from n = 1364; the count test stays exact
+        n = 1400
+        g = AnonymousHG([[1.0] * n] * n)
+        trace = SimpleNamespace(at_in_star=(), before_in_star=(), after_in_star=())
+        report = check_sp_lemmas(g, Partition.grand(n), range(1, n + 1), trace)
+        assert report.ok and report.count_ok
+        assert report.blockers == 0
+        assert report.window_bound == math.inf
 
     def test_uniform_peaks_no_window_blockers(self):
         row = [0.2, 1.0, 0.6, 0.3, 0.1]
@@ -476,3 +487,93 @@ class TestAnonClosedForm:
         assert expected > 0
         assert report.blocking_count == expected
         assert report.mass == Fraction(expected, 2**n - 1)
+
+
+def _census_of_scan(game, partition):
+    """Per-size counts and ascending blocker masks, by a scan of the stateless predicate."""
+    found = _blocker_masks(game, partition)
+    by_size = [0] * (game.n + 1)
+    for m in found:
+        by_size[m.bit_count()] += 1
+    return by_size, found
+
+
+class TestFhgCensus:
+    """The bit-parallel fractional census against oracles and a full mask scan."""
+
+    def _check(self, g, p, cap=WITNESS_CAP, gr=()):
+        n = g.n
+        by_size, found = _census_of_scan(g, p)
+        report = exact_blocking(g, p, UniformCoalitions(n), witness_cap=cap)
+        assert list(report.blocking_by_size) == by_size
+        assert report.mass == Fraction(len(found), 2**n - 1)
+        # documented order: ascending mask
+        assert [w.mask for w in report.witnesses] == found[:cap]
+        gr_mask = sum(1 << i for i in gr)
+        dec = gr_decomposition(g, p, gr)
+        assert dec.avoiding_gr == 2 ** (n - len(gr)) - 1
+        assert dec.blockers_avoiding == sum(1 for m in found if not m & gr_mask)
+        assert dec.blockers_meeting == sum(1 for m in found if m & gr_mask)
+        return report
+
+    @given(
+        st.integers(1, 12),
+        st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+        st.booleans(),
+        st.integers(0, 2 * WITNESS_CAP),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_census_against_oracle_and_scan(self, n, p_edge, stabilized, cap, rnd):
+        g = random_fhg(n, p_edge, rnd.getrandbits(32))
+        if stabilized and n >= 2:
+            p = stabilize_fhg(g)[0]
+        else:
+            p = random_partition(n, rnd.getrandbits(32))
+        gr = rnd.sample(range(n), rnd.randrange(n + 1))
+        report = self._check(g, p, cap, gr)
+        naive = naive_fhg_blocking_count(g.matrix(), [sorted(b.members()) for b in p.blocks])
+        assert report.blocking_count == naive
+
+    @pytest.mark.parametrize("n", [13, 14, 15])
+    def test_several_blocks(self, n):
+        # beyond 12 agents the census runs over more than one block of lanes
+        rng = random.Random(300 + n)
+        for p_edge in (0.3, 0.7):
+            g = random_fhg(n, p_edge, rng.getrandbits(32))
+            partition, trace = stabilize_fhg(g)
+            self._check(g, partition, gr=trace.gr)
+            self._check(g, random_partition(n, rng.getrandbits(32)), gr=range(0, n, 3))
+
+    @pytest.mark.parametrize("gr", ["empty", "partial", "all"])
+    def test_gr_split_extremes(self, gr):
+        n = 14
+        g = random_fhg(n, 0.5, 41)
+        p = random_partition(n, 42)
+        agents = {"empty": [], "partial": [1, 5, 12, 13], "all": list(range(n))}[gr]
+        dec = gr_decomposition(g, p, agents)
+        self._check(g, p, gr=agents)
+        if gr == "empty":
+            assert dec.blockers_meeting == 0 and dec.avoiding_gr == 2**n - 1
+        if gr == "all":
+            assert dec.blockers_avoiding == 0 and dec.avoiding_gr == 0
+
+    def test_single_agent(self):
+        g = SimpleFHG(1, [0])
+        report = self._check(g, Partition.singletons(1), gr=[0])
+        assert report.blocking_count == 0 and report.total_coalitions == 1
+
+    def test_empty_graph_has_no_blocker(self):
+        n = 13
+        g = SimpleFHG(n, [0] * n)
+        for p in (Partition.singletons(n), Partition.grand(n), random_partition(n, 5)):
+            assert self._check(g, p, gr=[0, 7]).blocking_count == 0
+
+    def test_complete_digraph(self):
+        # on singletons every coalition of two or more agents blocks, so every
+        # lane of every block but the first passes; the grand coalition gives
+        # den_i = n and num_i = n - 1, the largest per-agent weights
+        n = 14
+        report = self._check(complete_digraph(n), Partition.singletons(n), gr=[3])
+        assert list(report.blocking_by_size) == [0, 0] + [math.comb(n, s) for s in range(2, n + 1)]
+        assert self._check(complete_digraph(n), Partition.grand(n), gr=[3]).blocking_count == 0
