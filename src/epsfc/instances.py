@@ -22,8 +22,7 @@ from .games import (
     check_single_peaked,
 )
 from .limits import check_bell_guard, check_subset_guard
-from .stabilizers import stabilize_anonymous
-from .verification import certify_empty_core, has_blocker, partition_from_assignment
+from .verification import certify_empty_core, partition_from_assignment
 
 __all__ = [
     "random_fhg",
@@ -125,32 +124,14 @@ class EmptyCoreSearch:
         return self.game is not None
 
 
-def _quick_core_candidates(game: AnonymousHG):
-    """Cheap partitions worth testing before a full set-partition sweep."""
-    n = game.n
-    yield Partition.singletons(n)
-    yield Partition.grand(n)
-    by_peak: dict[int, list[int]] = {}
-    for i in range(n):
-        by_peak.setdefault(game.peak(i), []).append(i)
-    blocks = []
-    for peak in sorted(by_peak):
-        agents = by_peak[peak]
-        blocks.extend(agents[k : k + peak] for k in range(0, len(agents), peak))
-    yield Partition.from_blocks(blocks, n)
-    partition, _ = stabilize_anonymous(game, range(1, n + 1))
-    yield partition
-
-
 def find_empty_core_sp(
     n: int = 7, max_attempts: int = 100_000, seed=0
 ) -> EmptyCoreSearch:
     """Search random single-peaked instances for one with an empty core.
 
-    Instances whose core is visibly non-empty are rejected by a handful of
-    candidate partitions before paying for the certified full sweep. The
-    search is best-effort: a not-found result after ``max_attempts`` is a
-    normal outcome, reported with the attempt count.
+    Each instance is certified by ``certify_empty_core``'s block-size search.
+    The search is best-effort: a not-found result after ``max_attempts`` is
+    a normal outcome, reported with the attempt count.
     """
     if n > 10:
         raise EpsfcError("empty-core search is limited to n <= 10")
@@ -158,8 +139,6 @@ def find_empty_core_sp(
     root = _rng_of(seed)
     for attempt in range(1, max_attempts + 1):
         game, certificate = random_anon_sp(n, root.getrandbits(64))
-        if any(not has_blocker(game, p) for p in _quick_core_candidates(game)):
-            continue
         if certify_empty_core(game):
             return EmptyCoreSearch(game, certificate, attempt)
     return EmptyCoreSearch(None, None, max_attempts)

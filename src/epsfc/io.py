@@ -3,7 +3,8 @@
 Agents and sizes are 1-based in every file format (matching the usual
 human-facing convention) and 0-based in memory; the shift happens here and
 nowhere else. Sample files are JSON-lines: one record per line with the
-coalition and each member's value.
+coalition and each member's value, exact rationals as "p/q" strings and
+float values as JSON numbers.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .distributions import (
     FamilyUniform,
     SizeTilted,
     UniformCoalitions,
+    _as_fraction,
 )
 from .games import AnonymousHG, Coalition, Partition, SimpleFHG
 from .learning import SampleRecord
@@ -132,13 +134,14 @@ def load_distribution(path, n: int):
 
 
 def write_samples(path, records) -> None:
+    encode = json.JSONEncoder(default=str).encode  # a Fraction becomes "p/q"
     with open(path, "w") as fh:
         for rec in records:
             line = {
                 "S": [i + 1 for i in rec.coalition.members()],
-                "v": {str(i + 1): float(v) for i, v in rec.member_values.items()},
+                "v": {str(i + 1): v for i, v in rec.member_values.items()},
             }
-            fh.write(json.dumps(line) + "\n")
+            fh.write(encode(line) + "\n")
 
 
 def read_samples(path) -> list[SampleRecord]:
@@ -150,7 +153,10 @@ def read_samples(path) -> list[SampleRecord]:
                 continue
             d = json.loads(line)
             coalition = Coalition.from_members(i - 1 for i in d["S"])
-            values = {int(k) - 1: float(v) for k, v in d["v"].items()}
+            values = {
+                int(k) - 1: _as_fraction(v) if isinstance(v, str) else float(v)
+                for k, v in d["v"].items()
+            }
             records.append(SampleRecord(coalition, values))
     return records
 

@@ -6,7 +6,8 @@ of side-by-side lane counters, and a block's blockers are the lanes that pass
 every agent's test, found with one AND per agent. Anonymous games need no
 census and no guard: the agents that would strictly improve at size s form one
 bitmask improve[s], a size-s coalition blocks iff it is a subset of it, so
-C(|improve[s]|, s) size-s coalitions block.
+C(|improve[s]|, s) size-s coalitions block. For the same reason their core
+is searched over block-size assignments rather than set partitions.
 
 Counts are split by coalition size, which is exactly what distribution-
 weighted blocking mass needs. Fractions and masses are exact rationals.
@@ -453,59 +454,70 @@ def has_blocker(game, partition: Partition) -> bool:
     return any(pred(mask) for mask in range(1, 1 << n))
 
 
-def _anon_stable_sweep(game: AnonymousHG) -> Partition | None:
-    """Set-partition sweep specialized for anonymous games.
+def _anon_stable_profile(game: AnonymousHG) -> Partition | None:
+    """A core-stable partition of an anonymous game, by a search over block sizes.
 
-    Blocking depends only on each agent's current block size, so the
-    per-partition test packs, for every agent, the sizes she would strictly
-    prefer into 4-bit lanes and adds them up: lane s then holds the improver
-    count at size s, and the partition is stable iff every lane stays below
-    its size. This is exactly the generic sweep's answer, computed without
-    building Partition objects.
+    A size-s blocker exists iff at least s agents strictly prefer size s to
+    their own, so agents 0, 1, ... take sizes c = 1..n in turn, in ascending
+    order, while imp[s] counts the assigned agents that would gain at size s.
+    A branch dies once some imp[s] >= s (imp only grows) or once the seats
+    missing from open blocks, sum over c of (-cnt[c] mod c), outnumber the
+    agents left. An agent with the previous agent's row takes a size no
+    smaller than that agent's. Each complete assignment reached is the size
+    profile of a distinct set partition, so the Bell guard bounds the work.
     """
     n = game.n
-    rows = [[game.value_of_size(i, s) for s in range(1, n + 1)] for i in range(n)]
-    # better[i][c] = bitmask over sizes s the agent strictly prefers to c
-    better = []
-    for i in range(n):
-        row = rows[i]
-        per_cur = [0]  # index by current size, 1-based
-        for c in range(1, n + 1):
-            mask = 0
-            vc = row[c - 1]
-            for s in range(1, n + 1):
-                if row[s - 1] > vc:
-                    mask |= 1 << (s - 1)
-            per_cur.append(mask)
-        better.append(per_cur)
-    # 4-bit-lane expansion of 7..12-bit masks; counts never exceed n <= 15
-    expand = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        expand[mask] = expand[mask ^ low] | 1 << (4 * (low.bit_length() - 1))
-    lane_limit = [0] + [s << (4 * (s - 1)) for s in range(1, n + 1)]
-    counts = [0] * n
-    for assignment in iter_set_partitions(n):
-        for b in range(n):
-            counts[b] = 0
-        for label in assignment:
-            counts[label] += 1
-        acc = 0
-        for i in range(n):
-            acc += expand[better[i][counts[assignment[i]]]]
-        for s in range(1, n + 1):
-            if acc >> (4 * (s - 1)) & 15 >= s:
-                break
-        else:
-            return partition_from_assignment(assignment, n)
-    return None
+    sizes = range(1, n + 1)
+    rows = game.table()
+    # better[i][c - 1]: the sizes agent i strictly prefers to size c; better_mask as bits
+    better = [[[s for s in sizes if r[s - 1] > r[c - 1]] for c in sizes] for r in rows]
+    better_mask = [[sum(1 << s for s in b) for b in per] for per in better]
+    imp, cnt, size = [0] * (n + 1), [0] * (n + 1), [0] * n
+
+    def place(i: int, deficit: int, full: int) -> bool:
+        # full: the sizes s with imp[s] == s - 1, where one more gainer blocks
+        if i == n:
+            return True  # the deficit test below leaves only deficit 0 here
+        lo = size[i - 1] if i and rows[i] == rows[i - 1] else 1
+        for c in range(lo, n + 1):
+            if better_mask[i][c - 1] & full:
+                continue
+            step = c - 1 if cnt[c] % c == 0 else -1  # opens a block, or fills a seat
+            if deficit + step > n - 1 - i:
+                continue
+            nxt = full
+            for s in better[i][c - 1]:
+                imp[s] += 1
+                nxt |= (imp[s] == s - 1) << s
+            cnt[c] += 1
+            size[i] = c
+            if place(i + 1, deficit + step, nxt):
+                return True
+            cnt[c] -= 1
+            for s in better[i][c - 1]:
+                imp[s] -= 1
+        return False
+
+    stable = place(0, 0, 1 << 1)  # one agent gaining at size 1 already blocks
+    del place  # it refers to itself; breaking that cycle frees the search state now
+    if not stable:
+        return None
+    blocks = []
+    for c in sizes:
+        group = [i for i in range(n) if size[i] == c]
+        blocks += [group[k : k + c] for k in range(0, len(group), c)]
+    return Partition.from_blocks(blocks, n)
 
 
 def find_core_stable_partition(game) -> Partition | None:
-    """First partition (in restricted-growth order) admitting no blocker."""
+    """Some partition admitting no blocker (which one is unspecified), or None.
+
+    Behind the Bell guard, anonymous games are searched over block-size
+    assignments and fractional games over set partitions.
+    """
     check_bell_guard(game.n)
-    if isinstance(game, AnonymousHG) and game.n <= 15:
-        return _anon_stable_sweep(game)
+    if isinstance(game, AnonymousHG):
+        return _anon_stable_profile(game)
     for assignment in iter_set_partitions(game.n):
         partition = partition_from_assignment(assignment, game.n)
         if not has_blocker(game, partition):
@@ -516,7 +528,7 @@ def find_core_stable_partition(game) -> Partition | None:
 def certify_empty_core(game) -> bool:
     """True iff every partition of the agents admits a core-blocking coalition.
 
-    Sweeps all set partitions, so it is gated by the Bell guard.
+    Runs ``find_core_stable_partition``, so it is gated by the Bell guard.
     """
     return find_core_stable_partition(game) is None
 

@@ -326,6 +326,20 @@ def test_a10_impossibility_number():
     assert ok
 
 
+def test_a10_scale_extension_keeps_empty_core(monkeypatch):
+    """At n = 2*7 + 1 = 15, where A10's extension is sound, the extended A9
+    base still has an empty core. Bell(15) = 1.38e9 partitions are out of a
+    sweep's reach; the block-size search certifies it."""
+    result = _searched_instance()
+    if not result.found:
+        pytest.skip("A9 found no instance")
+    monkeypatch.setenv("EPSFC_MAX_N", "15")
+    budget = Budget("A10 scale: empty core at n = 15", 5)
+    extended, _ = extend_anon_sp(result.game, 15)
+    ok = budget.done(certify_empty_core(extended), "extended A9 base to n = 15")
+    assert ok
+
+
 def test_a11_green_count_decomposition():
     budget = Budget("A11 green-count decomposition", 60)
     n, eps, lam = 14, 0.1, 1

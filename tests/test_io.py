@@ -121,7 +121,22 @@ class TestSamples:
         for orig, back in zip(records, loaded):
             assert back.coalition == orig.coalition
             for i, v in orig.member_values.items():
-                assert back.member_values[i] == float(v)
+                assert back.member_values[i] == v
+
+    def test_float_file_from_older_writer_still_loads(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"S": [1, 3], "v": {"1": 0.5, "3": 0.3333333333333333}}\n')
+        (rec,) = eio.read_samples(path)
+        assert rec.coalition == Coalition.of(0, 2)
+        assert rec.member_values == {0: 0.5, 2: 0.3333333333333333}
+        assert all(type(v) is float for v in rec.member_values.values())
+
+    def test_fraction_values_written_exactly(self, tmp_path):
+        rec = SampleRecord(Coalition.of(0, 1, 2), {0: Fraction(1, 3), 1: Fraction(0), 2: 0.25})
+        path = tmp_path / "s.jsonl"
+        eio.write_samples(path, [rec])
+        assert json.loads(path.read_text())["v"] == {"1": "1/3", "2": "0", "3": 0.25}
+        assert eio.read_samples(path)[0].member_values == rec.member_values
 
     def test_one_based_agents_in_file(self, tmp_path):
         rec = SampleRecord(Coalition.of(0, 4), {0: 0.5, 4: 0.0})

@@ -42,7 +42,13 @@ from oracles import (
     naive_anon_blocking_count,
     naive_fhg_blocking_count,
 )
-from epsfc.instances import random_anon, random_anon_sp, random_fhg, random_partition
+from epsfc.instances import (
+    find_empty_core_sp,
+    random_anon,
+    random_anon_sp,
+    random_fhg,
+    random_partition,
+)
 
 
 def complete_digraph(n):
@@ -319,7 +325,7 @@ class TestEmptyCore:
                     break
             assert (fast is None) == (generic is None)
             if fast is not None:
-                assert fast == generic
+                assert not has_blocker(g, fast)
 
     def test_has_blocker_matches_enumeration(self):
         rng = random.Random(66)
@@ -487,6 +493,72 @@ class TestAnonClosedForm:
         assert expected > 0
         assert report.blocking_count == expected
         assert report.mass == Fraction(expected, 2**n - 1)
+
+
+def _first_stable_by_sweep(game):
+    """First blocker-free partition in restricted-growth order, or None."""
+    for assignment in iter_set_partitions(game.n):
+        p = partition_from_assignment(assignment, game.n)
+        if not has_blocker(game, p):
+            return p
+    return None
+
+
+def _with_rows(game, picks):
+    """The anonymous game whose agent i has the value row of agent picks[i]."""
+    rows = game.table()
+    return AnonymousHG([rows[k] for k in picks])
+
+
+class TestAnonCoreSearch:
+    """The block-size core search against the set-partition sweep."""
+
+    def _check(self, g):
+        fast = find_core_stable_partition(g)
+        assert (fast is None) == (_first_stable_by_sweep(g) is None)
+        if fast is not None:
+            assert _blocker_masks(g, fast) == []
+        return fast
+
+    @given(
+        st.integers(1, 7),
+        st.sampled_from(["anon", "anon_sp", "repeated"]),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sweep(self, n, kind, grouped, rnd):
+        seed = rnd.getrandbits(32)
+        if kind == "anon":
+            g = random_anon(n, seed)
+        elif kind == "anon_sp":
+            g = random_anon_sp(n, seed)[0]
+        else:
+            # few distinct rows; grouped copies sit next to each other
+            pool = rnd.randrange(1, min(n, 3) + 1)
+            picks = [rnd.randrange(pool) for _ in range(n)]
+            g = _with_rows(random_anon_sp(n, seed)[0], sorted(picks) if grouped else picks)
+        self._check(g)
+
+    @pytest.mark.parametrize("n, seed", [(7, 1), (8, 0), (9, 1)])
+    def test_empty_core_instances(self, n, seed):
+        result = find_empty_core_sp(n=n, max_attempts=2000, seed=seed)
+        assert result.found
+        assert self._check(result.game) is None
+
+    def test_repeated_rows_of_an_empty_core_instance(self):
+        g = find_empty_core_sp(n=8, max_attempts=2000, seed=0).game
+        rng = random.Random(8)
+        for _ in range(8):
+            picks = list(range(8))
+            picks[rng.randrange(8)] = rng.randrange(8)
+            self._check(_with_rows(g, sorted(picks)))
+        assert self._check(_with_rows(g, [0] * 8)) is not None
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_stable_games(self, n):
+        for seed in range(3):
+            assert self._check(random_anon(n, seed)) is not None
 
 
 def _census_of_scan(game, partition):
