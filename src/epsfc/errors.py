@@ -34,7 +34,14 @@ class UnderdeterminedError(LearningError):
 
 
 class InconsistentSampleError(LearningError):
-    """The samples contradict the game model they claim to come from."""
+    """The samples contradict the game model they claim to come from.
+
+    ``agent`` is the agent whose observations conflict, when one is known.
+    """
+
+    def __init__(self, message, agent=None):
+        self.agent = agent
+        super().__init__(message)
 
 
 class EmptyIntervalError(EpsfcError):

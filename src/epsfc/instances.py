@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import EpsfcError
 from .games import (
     AnonymousHG,
     Coalition,
@@ -133,8 +132,6 @@ def find_empty_core_sp(
     The search is best-effort: a not-found result after ``max_attempts`` is
     a normal outcome, reported with the attempt count.
     """
-    if n > 10:
-        raise EpsfcError("empty-core search is limited to n <= 10")
     check_bell_guard(n)
     root = _rng_of(seed)
     for attempt in range(1, max_attempts + 1):

@@ -3,11 +3,14 @@
 Simple fractional games are recovered exactly: every sample containing agent
 i is one linear equation over i's unknown arc indicators (the sum of
 indicators over the other members equals value * size, an integer), and the
-per-agent systems are solved in exact arithmetic. A packed GF(2) elimination
-handles the common case, because full rank mod 2 implies full rational rank
-and the unique 0/1 solution can then be replayed against the raw integer
-equations; systems that are rank-deficient mod 2 fall back to exact rational
-elimination to decide the true rank. Floats never touch a rank decision.
+per-agent systems are solved in exact arithmetic. A GF(2) elimination on the
+raw n-bit masks (bit i clear, rhs parity at bit n) handles the common case:
+it reduces each row by its lowest set bit and stops at full rank, n - 1
+pivots, because full rank mod 2 implies full rational rank; the unique 0/1
+candidate is then replayed against every raw integer equation, the rows
+after the stop included. Systems that are rank-deficient or inconsistent
+mod 2 fall back to exact rational elimination to decide the true rank.
+Floats never touch a rank decision.
 
 Anonymous games are learned by direct tabulation: one observed (agent, size)
 pair fixes that table entry forever, and a second observation disagreeing
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .distributions import SizeInterval, delta_bound
 from .errors import (
@@ -28,7 +31,7 @@ from .errors import (
     LearningError,
     UnderdeterminedError,
 )
-from .games import Coalition, SimpleFHG, bits_of
+from .games import Coalition, SimpleFHG
 
 __all__ = [
     "SampleRecord",
@@ -73,75 +76,74 @@ def fhg_sample_size(n: int, delta: float) -> int:
     return math.ceil(16 * math.log(n / delta)) + 4 * n
 
 
-def _rhs_as_int(value, size: int) -> int:
+def _rhs_as_int(agent: int, value, size: int) -> int:
     """Neighbor count encoded by a sampled average; exact for rationals and
     recoverable from float64 because the denominator is the coalition size."""
-    if isinstance(value, Fraction) or isinstance(value, int):
-        scaled = Fraction(value) * size
-        if scaled.denominator != 1:
-            raise InconsistentSampleError(
-                f"value {value} of a size-{size} coalition is not a multiple of 1/{size}"
-            )
-        k = scaled.numerator
+    if isinstance(value, (Fraction, int)):
+        k, rem = divmod(value.numerator * size, value.denominator)
+        exact = not rem
     else:
         k = round(value * size)
-        if abs(value * size - k) > 1e-6:
-            raise InconsistentSampleError(
-                f"value {value} of a size-{size} coalition is not a multiple of 1/{size}"
-            )
+        exact = abs(value * size - k) <= 1e-6
+    if not exact:
+        raise InconsistentSampleError(
+            f"agent {agent}: value {value} of a size-{size} coalition "
+            f"is not a multiple of 1/{size}",
+            agent,
+        )
     if not 0 <= k <= size:
-        raise InconsistentSampleError(f"value {value} outside [0, 1] for size {size}")
+        raise InconsistentSampleError(
+            f"agent {agent}: value {value} outside [0, 1] for size {size}", agent
+        )
     return k
 
 
-def _solve_gf2(packed_rows: list[int], ncols: int):
-    """Reduce rows of (coeff bits | rhs bit at position ncols) over GF(2).
+def _solve_gf2(rows: list[tuple[int, int]], n: int) -> int | None:
+    """Solve one agent's (mask, rhs) equations mod 2 over its n - 1 columns.
 
-    Returns (solution_bits, True) when the system has full column rank and is
-    consistent mod 2, else (None, full_rank_flag).
+    Each row is packed as its raw mask (the agent's own bit clear) with the
+    rhs parity at bit n and reduced by its lowest set bit against the pivots,
+    which are keyed by their own lowest bit. Elimination stops once n - 1
+    pivots exist: the unique solution of that prefix is returned as an
+    out-neighbor mask, and the caller replays it against every row. Returns
+    None when the rows run out first or are inconsistent mod 2.
     """
+    rhs_bit = 1 << n
     pivots: dict[int, int] = {}
-    consistent = True
-    for row in packed_rows:
-        for c in sorted(pivots):
-            if row >> c & 1:
-                row ^= pivots[c]
-        if row == 0:
-            continue
+    for mask, rhs in rows:
+        if len(pivots) == n - 1:
+            break
+        row = mask | (rhs & 1) << n
         low = row & -row
-        c = low.bit_length() - 1
-        if c == ncols:
-            consistent = False
-            continue
-        pivots[c] = row
-    full_rank = len(pivots) == ncols
-    if not (full_rank and consistent):
-        return None, full_rank
-    # Back-substitute to reduced form; solution bit c = rhs bit of pivot row c.
-    cols = sorted(pivots, reverse=True)
-    for c in cols:
-        row = pivots[c]
-        for c2 in cols:
-            if c2 > c and row >> c2 & 1:
-                row ^= pivots[c2]
-        pivots[c] = row
+        while low in pivots:
+            row ^= pivots[low]
+            low = row & -row
+        if low == rhs_bit:
+            return None
+        if low:
+            pivots[low] = row
+    if len(pivots) < n - 1:
+        return None
+    # Every coefficient bit is a pivot column, so going down from the highest
+    # pivot each one is its rhs plus the higher columns already solved.
     solution = 0
-    for c, row in pivots.items():
-        if row >> ncols & 1:
-            solution |= 1 << c
-    return solution, True
+    for low in sorted(pivots, reverse=True):
+        if (pivots[low] & (solution | rhs_bit)).bit_count() & 1:
+            solution |= low
+    return solution
 
 
-def _solve_rational(rows: list[tuple[int, int]], ncols: int):
+def _solve_rational(rows: list[tuple[int, int]], cols: list[int]):
     """Exact Gauss-Jordan over Fractions.
 
-    ``rows`` holds (column-space coefficient bitmask, integer rhs). Returns
-    the unique solution as a list of Fractions when the rank is ncols, None
-    when the system is underdetermined, and raises on inconsistency.
+    ``rows`` holds (raw coefficient bitmask, integer rhs) and ``cols`` the
+    agents whose bits are unknowns. Returns the unique solution as a list of
+    Fractions in ``cols`` order when the rank is len(cols), None when the
+    system is underdetermined, and raises on inconsistency.
     """
+    ncols = len(cols)
     matrix = [
-        [Fraction(bits >> c & 1) for c in range(ncols)] + [Fraction(rhs)]
-        for bits, rhs in rows
+        [Fraction(bits >> j & 1) for j in cols] + [Fraction(rhs)] for bits, rhs in rows
     ]
     rank = 0
     pivot_cols = []
@@ -169,7 +171,7 @@ def _solve_rational(rows: list[tuple[int, int]], ncols: int):
     return solution
 
 
-def learn_fhg(n: int, samples: Sequence[SampleRecord]) -> SimpleFHG:
+def learn_fhg(n: int, samples: Iterable[SampleRecord]) -> SimpleFHG:
     """Recover the adjacency matrix of a simple fractional game exactly.
 
     Raises UnderdeterminedError listing every agent whose system has rational
@@ -183,54 +185,36 @@ def learn_fhg(n: int, samples: Sequence[SampleRecord]) -> SimpleFHG:
         if smask >> n:
             raise ValueError(f"sample references agents outside [0, {n})")
         for i, v in rec.member_values.items():
-            rows_by_agent[i].append((smask & ~(1 << i), _rhs_as_int(v, size)))
+            rows_by_agent[i].append((smask ^ 1 << i, _rhs_as_int(i, v, size)))
     adj_masks = [0] * n
     underdetermined = []
-    for i in range(n):
-        cols = [j for j in range(n) if j != i]
-        col_pos = {j: c for c, j in enumerate(cols)}
-        ncols = n - 1
-        col_rows = []
-        for mask, rhs in rows_by_agent[i]:
-            bits = 0
-            for j in bits_of(mask):
-                bits |= 1 << col_pos[j]
-            col_rows.append((bits, rhs))
-        solution_bits, _ = _solve_gf2(
-            [bits | (rhs & 1) << ncols for bits, rhs in col_rows], ncols
-        )
-        if solution_bits is not None:
-            candidate = _unpack_columns(solution_bits, cols)
-            if _replays(rows_by_agent[i], candidate):
+    for i, rows in enumerate(rows_by_agent):
+        candidate = _solve_gf2(rows, n)
+        if candidate is not None:
+            # Sound past the stop: any 0/1 solution of all rows solves the
+            # full-rank prefix, whose solution mod 2 is unique.
+            if _replays(rows, candidate):
                 adj_masks[i] = candidate
                 continue
             raise InconsistentSampleError(
-                f"agent {i}: equations have full rank but no 0/1 arc assignment"
+                f"agent {i}: equations have full rank but no 0/1 arc assignment", i
             )
-        solution = _solve_rational(col_rows, ncols)
+        cols = [j for j in range(n) if j != i]
+        try:
+            solution = _solve_rational(rows, cols)
+        except InconsistentSampleError as exc:
+            raise InconsistentSampleError(f"agent {i}: {exc}", i) from None
         if solution is None:
             underdetermined.append(i)
             continue
         if any(x not in (0, 1) for x in solution):
             raise InconsistentSampleError(
-                f"agent {i}: unique rational solution is not 0/1-valued"
+                f"agent {i}: unique rational solution is not 0/1-valued", i
             )
-        bits = 0
-        for c, x in enumerate(solution):
-            if x == 1:
-                bits |= 1 << c
-        adj_masks[i] = _unpack_columns(bits, cols)
+        adj_masks[i] = sum(1 << j for j, x in zip(cols, solution) if x == 1)
     if underdetermined:
         raise UnderdeterminedError(underdetermined)
     return SimpleFHG(n, adj_masks)
-
-
-def _unpack_columns(bits: int, cols: list[int]) -> int:
-    out = 0
-    for c, j in enumerate(cols):
-        if bits >> c & 1:
-            out |= 1 << j
-    return out
 
 
 def _replays(rows: list[tuple[int, int]], adj_candidate: int) -> bool:
@@ -289,7 +273,7 @@ class LearnedAnonymous:
         return f"LearnedAnonymous(n={self.n}, m={self.m}, known={known}/{self.n * self.n})"
 
 
-def learn_anonymous(n: int, samples: Sequence[SampleRecord]) -> LearnedAnonymous:
+def learn_anonymous(n: int, samples: Iterable[SampleRecord]) -> LearnedAnonymous:
     """Tabulate exact per-size values from samples and the mean sampled size."""
     learned = LearnedAnonymous(n)
     for rec in samples:
@@ -305,7 +289,7 @@ def learn_anonymous(n: int, samples: Sequence[SampleRecord]) -> LearnedAnonymous
                 learned._vals[i][s] = v
             elif existing != v:
                 raise InconsistentSampleError(
-                    f"agent {i} reported {existing!r} and {v!r} for size {s}"
+                    f"agent {i} reported {existing!r} and {v!r} for size {s}", i
                 )
     return learned
 

@@ -79,6 +79,26 @@ def anon_blocking_count_closed_form(table, block_lists):
     return total
 
 
+def fhg_row_solutions(n, i, equations):
+    """Every 0/1 out-neighbour mask of agent i that reproduces its samples.
+
+    equations: (coalition mask, value) pairs for coalitions containing i,
+    with exact (Fraction or int) values. Tries all 2^(n-1) masks with bit i
+    clear and keeps those whose average over each coalition equals the value.
+    """
+    solutions = []
+    for row in range(1 << n):
+        if row >> i & 1:
+            continue
+        if all(
+            Fraction(sum(row >> j & 1 for j in members_of(mask)), len(members_of(mask)))
+            == Fraction(value)
+            for mask, value in equations
+        ):
+            solutions.append(row)
+    return solutions
+
+
 def brute_point_masses(dist, n):
     """Point mass of every non-empty subset, via dist.point_mass."""
     from epsfc.games import Coalition

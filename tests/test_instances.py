@@ -18,7 +18,7 @@ from epsfc import (
     random_partition,
     validate_partition,
 )
-from epsfc.errors import EpsfcError, GuardError
+from epsfc.errors import GuardError
 
 
 class TestRandomFhg:
@@ -162,6 +162,15 @@ class TestFindEmptyCore:
                 check_single_peaked(result.game), SinglePeakedCertificate
             )
 
-    def test_n_limited(self):
-        with pytest.raises(EpsfcError):
-            find_empty_core_sp(n=11, max_attempts=1, seed=0)
+    def test_n_limited(self, monkeypatch):
+        # only the Bell guard bounds the search (12 by default)
+        monkeypatch.delenv("EPSFC_MAX_N", raising=False)
+        with pytest.raises(GuardError):
+            find_empty_core_sp(n=13, max_attempts=1, seed=0)
+
+    def test_runs_above_ten(self, monkeypatch):
+        monkeypatch.delenv("EPSFC_MAX_N", raising=False)
+        result = find_empty_core_sp(n=11, max_attempts=1, seed=0)
+        assert result.attempts == 1
+        if result.found:
+            assert certify_empty_core(result.game)

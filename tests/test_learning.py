@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsfc import (
     Coalition,
@@ -23,6 +25,8 @@ from epsfc import (
     mean_confidence_m,
 )
 from epsfc.instances import random_anon, random_fhg
+from epsfc.learning import _solve_gf2
+from oracles import fhg_row_solutions
 
 
 class TestSampleSizes:
@@ -164,6 +168,149 @@ class TestLearnFhg:
         assert hits >= math.floor(trials * (1 - delta))
 
 
+def agent_equations(records, i):
+    return [(r.coalition.mask, r.member_values[i]) for r in records if i in r.coalition]
+
+
+def agent_rows(records, i):
+    """Agent i's (raw mask, neighbour count) rows, as learn_fhg builds them."""
+    return [(mask ^ 1 << i, int(v * mask.bit_count())) for mask, v in agent_equations(records, i)]
+
+
+@st.composite
+def planted_fhg_samples(draw):
+    """A random simple game on n <= 8 agents, exact samples of it, and up to
+    two sampled values overwritten by multiples of 1/(2 * size) in [0, 1 + 1/size]."""
+    n = draw(st.integers(1, 8))
+    full = (1 << n) - 1
+    game = SimpleFHG(n, [draw(st.integers(0, full)) & ~(1 << i) for i in range(n)])
+    rng = draw(st.randoms(use_true_random=False))
+    m = draw(st.integers(0, 6 * n + 10))
+    records = fhg_records(game, [rng.randint(1, full) for _ in range(m)])
+    corrupted = False
+    for _ in range(draw(st.integers(0, 2)) if records else 0):
+        r = rng.randrange(len(records))
+        rec = records[r]
+        values = dict(rec.member_values)
+        size = rec.coalition.size
+        values[rng.choice(sorted(values))] = Fraction(rng.randint(0, 2 * size + 2), 2 * size)
+        corrupted |= values != rec.member_values
+        records[r] = SampleRecord(rec.coalition, values)
+    return n, game, records, corrupted
+
+
+class TestLearnFhgOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(planted_fhg_samples())
+    def test_outcome_matches_brute_force(self, case):
+        n, game, records, corrupted = case
+        try:
+            learned = learn_fhg(n, records)
+        except InconsistentSampleError as exc:
+            assert corrupted
+            assert fhg_row_solutions(n, exc.agent, agent_equations(records, exc.agent)) == []
+            return
+        except UnderdeterminedError as exc:
+            assert exc.agents and list(exc.agents) == sorted(set(exc.agents))
+            return
+        for i in range(n):
+            assert fhg_row_solutions(n, i, agent_equations(records, i)) == [learned.adj_masks[i]]
+        if not corrupted:
+            assert learned == game
+
+    def _late_row_records(self, late_value):
+        # agent 0 reaches full rank (columns 1, 2) on the first two rows;
+        # the third row is only checked by the integer replay
+        g = SimpleFHG.from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        records = fhg_records(g, [0b011, 0b101, 0b110, 0b111])
+        last = records[-1]
+        records[-1] = SampleRecord(last.coalition, {**last.member_values, 0: late_value})
+        return records
+
+    def test_mod2_inconsistency_after_full_rank(self):
+        # x1 + x2 = 1/3 * 3 = 1 contradicts x1 = x2 = 1 mod 2
+        records = self._late_row_records(Fraction(1, 3))
+        assert _solve_gf2(agent_rows(records, 0), 3) == 0b110
+        with pytest.raises(InconsistentSampleError) as exc:
+            learn_fhg(3, records)
+        assert exc.value.agent == 0
+
+    def test_integer_inconsistency_after_full_rank(self):
+        # x1 + x2 = 0 agrees with x1 = x2 = 1 mod 2, but not over the integers
+        with pytest.raises(InconsistentSampleError) as exc:
+            learn_fhg(3, self._late_row_records(Fraction(0)))
+        assert exc.value.agent == 0
+
+    def _fallback_records(self):
+        # agent 3 only sees {0,1}, {1,2}, {0,2}: rank 2 mod 2, 3 over Q;
+        # the pairs give agents 0..2 full rank mod 2
+        g = SimpleFHG.from_matrix(
+            [[0, 1, 0, 1], [1, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
+        )
+        masks = [0b0011, 0b0101, 0b0110, 0b1011, 0b1110, 0b1101]
+        return g, fhg_records(g, masks)
+
+    def test_gf2_deficient_rational_fallback_recovers_game(self):
+        g, records = self._fallback_records()
+        assert _solve_gf2(agent_rows(records, 3), 4) is None
+        assert learn_fhg(4, records) == g
+
+    def test_rational_inconsistency_names_the_agent(self):
+        # a second {0,2,3} row for agent 3 says x0 + x2 = 0, not 2: the same
+        # parity, so GF(2) stays deficient and the rational path refutes it
+        g, records = self._fallback_records()
+        dup = records[-1]
+        assert dup.coalition.mask == 0b1101 and dup.member_values[3] == Fraction(2, 3)
+        records.append(SampleRecord(dup.coalition, {**dup.member_values, 3: Fraction(0)}))
+        assert _solve_gf2(agent_rows(records, 3), 4) is None
+        with pytest.raises(InconsistentSampleError) as exc:
+            learn_fhg(4, records)
+        assert exc.value.agent == 3
+
+    def test_float_records_through_the_fallback(self):
+        g, records = self._fallback_records()
+        as_floats = [
+            SampleRecord(r.coalition, {i: float(v) for i, v in r.member_values.items()})
+            for r in records
+        ]
+        assert learn_fhg(4, as_floats) == g
+
+    def test_float_value_off_the_size_grid(self):
+        g, records = self._fallback_records()
+        last = records[-1]
+        bad = {i: float(v) for i, v in last.member_values.items()}
+        bad[2] = 0.4  # not a multiple of 1/3
+        with pytest.raises(InconsistentSampleError) as exc:
+            learn_fhg(4, records[:-1] + [SampleRecord(last.coalition, bad)])
+        assert exc.value.agent == 2
+
+    def test_single_agent(self):
+        assert learn_fhg(1, []) == SimpleFHG(1, [0])
+        assert learn_fhg(1, fhg_records(SimpleFHG(1, [0]), [1])) == SimpleFHG(1, [0])
+        with pytest.raises(InconsistentSampleError) as exc:
+            learn_fhg(1, [SampleRecord(Coalition.of(0), {0: 1})])
+        assert exc.value.agent == 0
+
+
+class TestIterableSamples:
+    def test_learn_fhg_from_generator(self):
+        g = random_fhg(10, 0.5, 3)
+        records = draw_samples(g, UniformCoalitions(10), fhg_sample_size(10, 0.1), random.Random(3))
+        assert learn_fhg(10, (r for r in records)) == learn_fhg(10, records) == g
+
+    def test_learn_anonymous_from_generator(self):
+        g = random_anon(6, 5)
+        records = draw_samples(g, UniformCoalitions(6), 400, random.Random(5))
+        from_list = learn_anonymous(6, records)
+        from_gen = learn_anonymous(6, (r for r in records))
+        assert from_gen.m == from_list.m == 400
+        assert from_gen.mu_hat == from_list.mu_hat
+        assert from_gen.known_table() == from_list.known_table()
+        for i in range(6):
+            for s in from_list.sizes_known_for_all():
+                assert from_gen.value_of_size(i, s) == from_list.value_of_size(i, s)
+
+
 class TestLearnAnonymous:
     def test_single_pair_sample(self):
         rec = SampleRecord(Coalition.of(0, 1), {0: 0.5, 1: 0.5})
@@ -213,30 +360,33 @@ class TestLearnAnonymous:
 
 class TestSolverAgreement:
     def test_gf2_and_rational_routes_agree(self):
-        from epsfc.learning import _solve_gf2, _solve_rational
+        from epsfc.learning import _solve_rational
 
         rng = random.Random(17)
         for _ in range(200):
-            ncols = rng.randrange(2, 8)
+            n = rng.randrange(3, 9)
+            i = rng.randrange(n)
+            cols = [j for j in range(n) if j != i]
+            others = ((1 << n) - 1) ^ 1 << i
             nrows = rng.randrange(1, 14)
-            planted = rng.randrange(1 << ncols)
+            planted = rng.randrange(1 << n) & others
             rows = []
             for _ in range(nrows):
-                bits = rng.randrange(1 << ncols)
+                bits = rng.randrange(1 << n) & others
                 rhs = (bits & planted).bit_count()
                 rows.append((bits, rhs))
-            packed = [bits | (rhs & 1) << ncols for bits, rhs in rows]
-            gf2, _ = _solve_gf2(packed, ncols)
-            rational = _solve_rational(rows, ncols)
+            gf2 = _solve_gf2(rows, n)
+            rational = _solve_rational(rows, cols)
+            as_mask = None
+            if rational is not None:
+                as_mask = sum(1 << j for j, x in zip(cols, rational) if x == 1)
             if gf2 is not None:
                 # full rank mod 2 forces full rational rank and the same answer
                 assert rational is not None
-                assert gf2 == sum(1 << c for c, x in enumerate(rational) if x == 1)
+                assert gf2 == as_mask
                 assert gf2 == planted
             if rational is not None and all(x in (0, 1) for x in rational):
-                assert (
-                    sum(1 << c for c, x in enumerate(rational) if x == 1) == planted
-                )
+                assert as_mask == planted
 
 
 class TestEmpiricalGuarantees:
