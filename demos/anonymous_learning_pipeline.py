@@ -17,9 +17,9 @@ from epsfc import (
     anon_sample_size,
     audit_green_anonymous,
     bartlett_bounds,
-    draw_samples,
     estimate_interval,
     exact_blocking_mass,
+    iter_samples,
     learn_anonymous,
     lambda_of,
     mean_size,
@@ -39,7 +39,7 @@ print(f"=== anonymous pipeline: n={N}, eps={EPS}, delta={DELTA}, lambda={lam:g} 
 m = anon_sample_size(N, DELTA, EPS, lam)
 print(f"sample budget for exact window learning: m = {m}")
 rng = random.Random(SEED)
-samples = draw_samples(game, dist, m, rng)
+samples = iter_samples(game, dist, m, rng)  # drawn lazily, folded as they come
 
 learned = learn_anonymous(N, samples)
 known = sum(sum(row) for row in learned.known_table())

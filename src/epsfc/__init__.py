@@ -67,6 +67,7 @@ from .learning import (
     draw_samples,
     estimate_interval,
     fhg_sample_size,
+    iter_samples,
     learn_anonymous,
     learn_fhg,
     mean_confidence_m,

@@ -45,8 +45,8 @@ from .instances import (
     random_fhg,
 )
 from .learning import (
-    draw_samples,
     estimate_interval,
+    iter_samples,
     learn_anonymous,
     learn_fhg,
 )
@@ -141,9 +141,8 @@ def cmd_sample(args) -> int:
     game = eio.load_game(args.game).game
     dist = _load_dist(args.dist, game.n)
     rng = random.Random(args.seed)
-    records = draw_samples(game, dist, args.m, rng)
-    eio.write_samples(args.out, records)
-    print(f"wrote {len(records)} samples to {args.out}")
+    count = eio.write_samples(args.out, iter_samples(game, dist, args.m, rng))
+    print(f"wrote {count} samples to {args.out}")
     return EXIT_OK
 
 
@@ -160,7 +159,7 @@ def cmd_stabilize(args) -> int:
         else:
             if args.n is None:
                 raise UsageError("--n is required with --samples")
-            game = learn_fhg(args.n, eio.read_samples(args.samples))
+            game = learn_fhg(args.n, eio.stream_samples(args.samples))
         partition, trace = stabilize_fhg(game)
     elif klass in ("anon", "anon-sp"):
         if loaded is not None:
@@ -174,7 +173,7 @@ def cmd_stabilize(args) -> int:
             if args.n is None:
                 raise UsageError("--n is required with --samples")
             n = args.n
-            view = learn_anonymous(n, eio.read_samples(args.samples))
+            view = learn_anonymous(n, eio.stream_samples(args.samples))
             window = estimate_interval(view, args.lam, args.eps, args.alpha)
         if klass == "anon":
             partition, trace = stabilize_anonymous(view, window)
@@ -341,13 +340,13 @@ def _run_cell(cell: dict) -> dict:
                 from .learning import fhg_sample_size
 
                 m = fhg_sample_size(n, cell["delta"])
-                learned = learn_fhg(n, draw_samples(game, dist, m, rng))
+                learned = learn_fhg(n, iter_samples(game, dist, m, rng))
                 partition, _ = stabilize_fhg(learned)
             else:
                 from .learning import anon_sample_size
 
                 m = anon_sample_size(n, cell["delta"], eps, lam)
-                view = learn_anonymous(n, draw_samples(game, dist, m, rng))
+                view = learn_anonymous(n, iter_samples(game, dist, m, rng))
                 window = estimate_interval(view, lam, eps, cell["alpha"])
                 if klass == "anon":
                     partition, _ = stabilize_anonymous(view, window)

@@ -246,6 +246,11 @@ class SimpleFHG:
             raise UndefinedValuationError(f"agent {i} is not in {coalition}")
         return Fraction((self.adj_masks[i] & coalition.mask).bit_count(), coalition.size)
 
+    def member_values(self, coalition: Coalition) -> dict[int, Fraction]:
+        """Every member's value of ``coalition``, in ascending member order."""
+        mask, size, adj = coalition.mask, coalition.size, self.adj_masks
+        return {i: Fraction((adj[i] & mask).bit_count(), size) for i in bits_of(mask)}
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SimpleFHG)
@@ -294,6 +299,11 @@ class AnonymousHG:
         if i not in coalition:
             raise UndefinedValuationError(f"agent {i} is not in {coalition}")
         return self._rows[i][coalition.size - 1]
+
+    def member_values(self, coalition: Coalition) -> dict[int, float]:
+        """Every member's value of ``coalition``, in ascending member order."""
+        s, rows = coalition.size - 1, self._rows
+        return {i: rows[i][s] for i in bits_of(coalition.mask)}
 
     def peak(self, i: int) -> int:
         """The smallest size attaining agent i's maximum value."""

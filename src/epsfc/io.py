@@ -2,9 +2,17 @@
 
 Agents and sizes are 1-based in every file format (matching the usual
 human-facing convention) and 0-based in memory; the shift happens here and
-nowhere else. Sample files are JSON-lines: one record per line with the
-coalition and each member's value, exact rationals as "p/q" strings and
-float values as JSON numbers.
+nowhere else.
+
+Sample files are JSON-lines, one record per line:
+``{"S":[1,3,5],"v":["1/3","2/3",0.5]}`` lists the coalition's agents in
+ascending order and then each member's value in that order. Exact rationals
+are "p/q" strings and read back as the same Fractions; floats are JSON
+numbers and read back bit for bit. The older layout, with values keyed by
+agent (``"v": {"1": ...}``), still reads. Samples stream both ways: the
+writer consumes any iterable and the reader yields one record per line.
+Both build a repeated value (a float's text, a parsed float or Fraction)
+once per call, in a memo of bounded size.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 from .distributions import (
     AdversarialBounded,
@@ -37,6 +46,7 @@ __all__ = [
     "distribution_from_dict",
     "load_distribution",
     "write_samples",
+    "stream_samples",
     "read_samples",
     "to_jsonable",
     "save_json",
@@ -133,32 +143,106 @@ def load_distribution(path, n: int):
     return distribution_from_dict(json.loads(Path(path).read_text()), n)
 
 
-def write_samples(path, records) -> None:
-    encode = json.JSONEncoder(default=str).encode  # a Fraction becomes "p/q"
+MEMO_CAP = 1 << 16
+
+
+class _Memo(dict):
+    """A per-call cache of ``make(key)`` that stops growing at MEMO_CAP keys,
+    so memory stays bounded on files whose values never repeat."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self.make(key)
+        # A zero is never kept: 0.0 == -0.0, but they print differently.
+        if key and len(self) < MEMO_CAP:
+            self[key] = value
+        return value
+
+
+def write_samples(path, records) -> int:
+    """Write records as JSON lines; returns how many were written.
+
+    Each line is ``{"S":[agents],"v":[values]}``: 1-based agents ascending,
+    then each member's value in the same order. A float is written as
+    ``json.dumps`` writes it, its text built once per distinct value; a
+    Fraction is a "p/q" string; any other value is written as ``json.dumps``
+    writes it with ``default=str``.
+    """
+    encode = json.JSONEncoder(default=str).encode
+    floats = _Memo(encode)
+    count = 0
     with open(path, "w") as fh:
         for rec in records:
-            line = {
-                "S": [i + 1 for i in rec.coalition.members()],
-                "v": {str(i + 1): v for i, v in rec.member_values.items()},
+            members = rec.coalition.members()
+            texts = [
+                floats[v] if type(v) is float else f'"{v}"' if type(v) is Fraction else encode(v)
+                for v in map(rec.member_values.__getitem__, members)
+            ]
+            fh.write(
+                '{"S":[%s],"v":[%s]}\n'
+                % (",".join([str(i + 1) for i in members]), ",".join(texts))
+            )
+            count += 1
+    return count
+
+
+def stream_samples(path) -> Iterator[SampleRecord]:
+    """Yield the records of a sample file one line at a time.
+
+    Reads both line layouts: values listed in member order, and the older
+    ``"v": {"agent": value}`` objects. A "p/q" string reads back as an exact
+    Fraction and every other number as a float. Raises ValueError naming
+    ``path:line`` for a line that is not a JSON object with "S" and "v", an
+    empty or duplicated agent list, an agent id below 1, or a value list
+    whose length differs from the agent list.
+    """
+    floats = _Memo(float)
+    decode = json.JSONDecoder(parse_float=floats.__getitem__).decode
+    fractions = _Memo(_as_fraction)
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            try:
+                d = decode(line)
+                ids, raw = d["S"], d["v"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: not a sample record: {exc!r}") from None
+            if not ids:
+                raise ValueError(f"{path}:{lineno}: empty coalition")
+            mask = 0
+            for a in ids:
+                if type(a) is not int or a < 1:
+                    raise ValueError(f"{path}:{lineno}: agent id {a!r} is not an integer >= 1")
+                mask |= 1 << a - 1
+            if mask.bit_count() != len(ids):
+                raise ValueError(f"{path}:{lineno}: duplicate agent ids in {ids}")
+            if type(raw) is dict:
+                items = ((int(k), x) for k, x in raw.items())
+            elif len(raw) != len(ids):
+                raise ValueError(
+                    f"{path}:{lineno}: {len(raw)} values for {len(ids)} agents"
+                )
+            else:
+                items = zip(ids, raw)
+            values = {
+                a - 1: x if type(x) is float else fractions[x] if type(x) is str else float(x)
+                for a, x in items
             }
-            fh.write(encode(line) + "\n")
+            try:
+                record = SampleRecord(Coalition(mask), values)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            yield record
 
 
 def read_samples(path) -> list[SampleRecord]:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            coalition = Coalition.from_members(i - 1 for i in d["S"])
-            values = {
-                int(k) - 1: _as_fraction(v) if isinstance(v, str) else float(v)
-                for k, v in d["v"].items()
-            }
-            records.append(SampleRecord(coalition, values))
-    return records
+    return list(stream_samples(path))
 
 
 def to_jsonable(obj):

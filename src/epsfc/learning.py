@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .distributions import SizeInterval, delta_bound
 from .errors import (
@@ -35,6 +35,7 @@ from .games import Coalition, SimpleFHG
 
 __all__ = [
     "SampleRecord",
+    "iter_samples",
     "draw_samples",
     "fhg_sample_size",
     "learn_fhg",
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleRecord:
     """One observed coalition with each member's valuation of it."""
 
@@ -55,17 +56,33 @@ class SampleRecord:
     member_values: Mapping[int, object] = field(default_factory=dict)
 
     def __post_init__(self):
+        # One pass: OR the keys into a mask. Keys that are not agent ids of
+        # this coalition (non-int, negative, past its top bit) leave it to the
+        # set comparison, which also decides keys such as 1.0 or True.
+        mask = self.coalition.mask
+        top = mask.bit_length()
+        seen = 0
+        for i in self.member_values:
+            if type(i) is not int or not 0 <= i < top:
+                break
+            seen |= 1 << i
+        else:
+            if seen == mask:
+                return
         if set(self.member_values) != set(self.coalition.members()):
             raise ValueError("member_values must be keyed exactly by the coalition members")
 
 
-def draw_samples(game, dist, m: int, rng) -> list[SampleRecord]:
-    """Draw m coalitions from ``dist`` and evaluate them for their members."""
-    records = []
+def iter_samples(game, dist, m: int, rng) -> Iterator[SampleRecord]:
+    """Lazily draw m coalitions from ``dist``, each evaluated for its members."""
     for _ in range(m):
         c = dist.sample(rng)
-        records.append(SampleRecord(c, {i: game.value(i, c) for i in c}))
-    return records
+        yield SampleRecord(c, game.member_values(c))
+
+
+def draw_samples(game, dist, m: int, rng) -> list[SampleRecord]:
+    """Draw m coalitions from ``dist`` and evaluate them for their members."""
+    return list(iter_samples(game, dist, m, rng))
 
 
 def fhg_sample_size(n: int, delta: float) -> int:

@@ -5,6 +5,7 @@ enumeration machinery with the package: plain nested loops, per-coalition
 recomputation, and Fraction arithmetic. Keep it that way.
 """
 
+import json
 from fractions import Fraction
 from math import comb
 
@@ -176,3 +177,35 @@ def simulate_fhg_construction(adj_rows, pool_size, loop_budget, degree_cut):
             seen.append(partition[i])
             blocks.append(sorted(partition[i]))
     return branch, phi, gr, log, blocks
+
+
+def dict_keyed_sample_lines(records):
+    """Sample-file text in the older layout, as its writer produced it.
+
+    records: (mask, {agent: value}) pairs. Each line is
+    {"S": [1-based agents], "v": {"agent": value}}, with json.dumps spacing
+    and every non-JSON value (a Fraction) written as its str.
+    """
+    lines = []
+    for mask, values in records:
+        line = {"S": [i + 1 for i in members_of(mask)], "v": {str(i + 1): v for i, v in values.items()}}
+        lines.append(json.dumps(line, default=str) + "\n")
+    return "".join(lines)
+
+
+def read_dict_keyed_samples(text):
+    """(mask, {agent: value}) pairs from older-layout sample text, read the
+    way its reader did: strings are exact Fractions, other numbers floats."""
+    records = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        d = json.loads(line)
+        mask = 0
+        for a in d["S"]:
+            mask |= 1 << (a - 1)
+        values = {
+            int(k) - 1: Fraction(v) if isinstance(v, str) else float(v) for k, v in d["v"].items()
+        }
+        records.append((mask, values))
+    return records

@@ -54,9 +54,11 @@ class TestSample:
         out = tmp_path / "s.jsonl"
         run("gen", "--kind", "anon-random", "--n", 6, "--seed", 2, "--out", game)
         assert run("sample", "--game", game, "--m", 50, "--seed", 5, "--out", out) == 0
+        assert len(out.read_text().splitlines()) == 50
         for line in out.read_text().splitlines():
             rec = json.loads(line)
-            assert sorted(map(int, rec["v"])) == sorted(rec["S"])
+            assert rec["S"] == sorted(set(rec["S"])) and 1 <= rec["S"][0] <= rec["S"][-1] <= 6
+            assert len(rec["v"]) == len(rec["S"])  # one value per member
 
     def test_unknown_dist_kind(self, tmp_path):
         game = tmp_path / "g.json"
@@ -122,6 +124,13 @@ class TestStabilize:
         run("sample", "--game", game, "--m", 3, "--seed", 2, "--out", samples)
         code = run("stabilize", "--class", "fhg", "--samples", samples, "--n", 8, "--out", tmp_path / "p.json")
         assert code == 4
+
+    def test_malformed_sample_line_is_a_usage_error(self, tmp_path, capsys):
+        samples = tmp_path / "s.jsonl"
+        samples.write_text('{"S":[1],"v":[0.5]}\n{"S":[2,2],"v":[0.5,0.5]}\n')
+        code = run("stabilize", "--class", "anon", "--samples", samples, "--n", 4, "--out", tmp_path / "p.json")
+        assert code == 2
+        assert f"{samples}:2: duplicate agent ids" in capsys.readouterr().err
 
     def test_game_and_samples_mutually_exclusive(self, tmp_path):
         assert run("stabilize", "--class", "fhg", "--out", tmp_path / "p.json") == 2

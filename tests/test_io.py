@@ -1,7 +1,12 @@
 import json
+import random
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsfc import (
     Coalition,
@@ -10,10 +15,11 @@ from epsfc import (
     UniformCoalitions,
     adversarial_bounded,
     draw_samples,
+    learn_anonymous,
 )
 from epsfc import io as eio
-from epsfc.instances import random_anon_sp, random_fhg, random_partition
-import random
+from epsfc.instances import random_anon, random_anon_sp, random_fhg, random_partition
+from oracles import dict_keyed_sample_lines, members_of, read_dict_keyed_samples
 
 
 class TestGameRoundtrip:
@@ -135,7 +141,7 @@ class TestSamples:
         rec = SampleRecord(Coalition.of(0, 1, 2), {0: Fraction(1, 3), 1: Fraction(0), 2: 0.25})
         path = tmp_path / "s.jsonl"
         eio.write_samples(path, [rec])
-        assert json.loads(path.read_text())["v"] == {"1": "1/3", "2": "0", "3": 0.25}
+        assert json.loads(path.read_text())["v"] == ["1/3", "0", 0.25]
         assert eio.read_samples(path)[0].member_values == rec.member_values
 
     def test_one_based_agents_in_file(self, tmp_path):
@@ -144,13 +150,173 @@ class TestSamples:
         eio.write_samples(path, [rec])
         raw = json.loads(path.read_text().strip())
         assert raw["S"] == [1, 5]
-        assert set(raw["v"]) == {"1", "5"}
+        assert raw["v"] == [0.5, 0.0]  # one value per member, in the order of "S"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        eio.write_samples(path, [])
+        assert eio.write_samples(path, []) == 0
         assert path.read_text() == ""
         assert eio.read_samples(path) == []
+
+    def test_compact_member_order_lines(self, tmp_path):
+        rec = SampleRecord(Coalition.of(4, 0, 2), {4: 0.5, 0: Fraction(2, 3), 2: 3})
+        path = tmp_path / "s.jsonl"
+        assert eio.write_samples(path, iter([rec, rec])) == 2
+        assert path.read_text() == '{"S":[1,3,5],"v":["2/3",3,0.5]}\n' * 2
+
+    def test_zeros_keep_their_sign(self, tmp_path):
+        records = [SampleRecord(Coalition.of(0, 1), {0: 0.0, 1: -0.0})] * 2
+        records.append(SampleRecord(Coalition.of(0, 1), {0: -0.0, 1: 0.0}))
+        path = tmp_path / "s.jsonl"
+        eio.write_samples(path, records)
+        assert path.read_text().splitlines() == [
+            '{"S":[1,2],"v":[0.0,-0.0]}',
+            '{"S":[1,2],"v":[0.0,-0.0]}',
+            '{"S":[1,2],"v":[-0.0,0.0]}',
+        ]
+        assert [_signature(r) for r in eio.read_samples(path)] == [_signature(r) for r in records]
+
+    def test_memo_stops_growing_at_its_cap(self):
+        made = []
+        memo = eio._Memo(lambda x: made.append(x) or str(x))
+        with mock.patch.object(eio, "MEMO_CAP", 3):
+            texts = [memo[float(x)] for x in (1, 2, 3, 4, 5, 1, 4, 0)]
+        assert texts == ["1.0", "2.0", "3.0", "4.0", "5.0", "1.0", "4.0", "0.0"]
+        assert sorted(memo) == [1.0, 2.0, 3.0]
+        assert made == [1.0, 2.0, 3.0, 4.0, 5.0, 4.0, 0.0]
+
+    def test_stream_is_lazy_and_read_is_a_list(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"S":[1],"v":[0.5]}\n{"S":[],"v":[]}\n')
+        stream = eio.stream_samples(path)
+        assert next(stream).member_values == {0: 0.5}
+        with pytest.raises(ValueError):
+            next(stream)
+        path.write_text('{"S":[1],"v":[0.5]}\n\n{"S":[2],"v":[1]}\n')
+        records = eio.read_samples(path)
+        assert isinstance(records, list) and len(records) == 2
+        assert records[1].member_values == {1: 1.0}
+
+
+def _pair_signature(mask, values):
+    """Coalition and values with each value's type and exact text, so that
+    1/2 and 0.5, or 0.0 and -0.0, do not compare equal."""
+    return mask, sorted((i, type(v).__name__, repr(v)) for i, v in values.items())
+
+
+def _signature(rec):
+    return _pair_signature(rec.coalition.mask, rec.member_values)
+
+
+class TestMalformedSampleLines:
+    GOOD = '{"S":[1,2],"v":[0.5,0.25]}\n'
+
+    @pytest.mark.parametrize(
+        "line, words",
+        [
+            ('{"S":[],"v":[]}', "empty coalition"),
+            ('{"S": [], "v": {}}', "empty coalition"),
+            ('{"S":[1,1],"v":[0.5,0.5]}', "duplicate agent ids"),
+            ('{"S":[2,3,2],"v":[0.5,0.5,0.5]}', "duplicate agent ids"),
+            ('{"S":[0,2],"v":[0.5,0.5]}', "agent id 0"),
+            ('{"S":[-1],"v":[0.5]}', "agent id -1"),
+            ('{"S":[1.0],"v":[0.5]}', "agent id 1.0"),
+            ('{"S":["1"],"v":[0.5]}', "agent id '1'"),
+            ('{"S":[1,2],"v":[0.5]}', "1 values for 2 agents"),
+            ('{"S":[1],"v":[0.5,0.5]}', "2 values for 1 agents"),
+            ('{"S": [1, 2], "v": {"1": 0.5}}', "keyed exactly by the coalition members"),
+            ('{"S":[1],"v":[0.5]', "not a sample record"),
+            ('{"S":[1]}', "not a sample record: KeyError('v')"),
+            ("[1, 2]", "not a sample record"),
+        ],
+    )
+    def test_names_file_and_line(self, tmp_path, line, words):
+        path = tmp_path / "s.jsonl"
+        path.write_text(self.GOOD + line + "\n" + self.GOOD)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: ") as info:
+            eio.read_samples(path)
+        assert words in str(info.value)
+
+    def test_empty_coalition_is_not_counted_as_a_sample(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"S":[],"v":[]}\n{"S":[1],"v":[0.5]}\n{"S":[2],"v":[0.5]}\n')
+        with pytest.raises(ValueError, match=":1: empty coalition"):
+            learn_anonymous(2, eio.stream_samples(path))
+
+
+_values = st.one_of(
+    st.fractions(max_denominator=10**6),
+    st.floats(),
+    st.integers(-(10**9), 10**9),
+    st.sampled_from([0.0, -0.0, 0, Fraction(0)]),
+)
+
+
+@st.composite
+def _sample_sets(draw):
+    """Anonymous draws, fractional draws, or records over a small value pool
+    (so values repeat across records)."""
+    kind = draw(st.sampled_from(["anon", "fhg", "pool"]))
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(0, 30))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "anon":
+        return draw_samples(random_anon(n, seed), UniformCoalitions(n), m, random.Random(seed))
+    if kind == "fhg":
+        return draw_samples(random_fhg(n, 0.5, seed), UniformCoalitions(n), m, random.Random(seed))
+    pool = draw(st.lists(_values, min_size=1, max_size=5))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=m))
+    return [
+        SampleRecord(Coalition(mask), {i: draw(st.sampled_from(pool)) for i in members_of(mask)})
+        for mask in masks
+    ]
+
+
+def _read_back(v):
+    """What a sample file gives back for a written value: a Fraction stays
+    exact, every other number comes back as a float."""
+    return v if isinstance(v, Fraction) else float(v)
+
+
+class TestSampleRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(_sample_sets(), st.integers(1, 4))
+    def test_compact_layout_round_trips(self, tmp_path_factory, records, cap):
+        path = tmp_path_factory.mktemp("rt") / "s.jsonl"
+        # A tiny cap drives the memo past its limit on almost every example.
+        with mock.patch.object(eio, "MEMO_CAP", cap):
+            assert eio.write_samples(path, iter(records)) == len(records)
+            back = list(eio.stream_samples(path))
+        expected = [
+            _pair_signature(r.coalition.mask, {i: _read_back(v) for i, v in r.member_values.items()})
+            for r in records
+        ]
+        assert [_signature(r) for r in back] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sample_sets(), st.integers(1, 4))
+    def test_dict_keyed_layout_reads_as_before(self, tmp_path_factory, records, cap):
+        text = dict_keyed_sample_lines((r.coalition.mask, r.member_values) for r in records)
+        path = tmp_path_factory.mktemp("old") / "s.jsonl"
+        path.write_text(text)
+        with mock.patch.object(eio, "MEMO_CAP", cap):
+            back = eio.read_samples(path)
+        assert [_signature(r) for r in back] == [
+            _pair_signature(mask, values) for mask, values in read_dict_keyed_samples(text)
+        ]
+
+    def test_more_distinct_floats_than_the_cap(self, tmp_path):
+        rng = random.Random(4)
+        records = [
+            SampleRecord(Coalition.of(0, 1, 2), {i: rng.random() for i in range(3)})
+            for _ in range(3000)
+        ]
+        records += records[:50]  # repeats after the memo has filled
+        path = tmp_path / "s.jsonl"
+        with mock.patch.object(eio, "MEMO_CAP", 256):
+            eio.write_samples(path, records)
+            back = eio.read_samples(path)
+        assert [_signature(r) for r in back] == [_signature(r) for r in records]
 
 
 class TestJsonable:

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,13 +22,69 @@ from epsfc import (
     draw_samples,
     estimate_interval,
     fhg_sample_size,
+    iter_samples,
     learn_anonymous,
     learn_fhg,
     mean_confidence_m,
 )
 from epsfc.instances import random_anon, random_fhg
 from epsfc.learning import _solve_gf2
-from oracles import fhg_row_solutions
+from oracles import fhg_row_solutions, members_of
+
+
+class TestSampleRecord:
+    def test_keys_exactly_the_members(self):
+        rec = SampleRecord(Coalition.of(0, 3), {3: 0.5, 0: Fraction(1, 2)})
+        assert rec.member_values == {0: 0.5, 3: 0.5}
+        assert SampleRecord(Coalition(0), {}).member_values == {}
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {0: 0.5},  # missing member 3
+            {0: 0.5, 3: 0.5, 1: 0.5},  # extra key inside the mask's range
+            {0: 0.5, 3: 0.5, 70: 0.5},  # extra key past its top bit
+            {0: 0.5, -3: 0.5},  # negative key
+            {0: 0.5, "3": 0.5},  # non-int key
+            {0: 0.5, 3.5: 0.5},
+            {0: 0.5, None: 0.5},
+            {},
+        ],
+    )
+    def test_wrong_keys_rejected(self, values):
+        with pytest.raises(ValueError, match="keyed exactly by the coalition members"):
+            SampleRecord(Coalition.of(0, 3), values)
+
+    def test_keys_equal_to_members_accepted(self):
+        # As with set equality: 3.0 == 3 and True == 1.
+        SampleRecord(Coalition.of(1, 3), {True: 0.5, 3.0: 0.5})
+
+    def test_slotted_and_frozen(self):
+        rec = SampleRecord(Coalition.of(0), {0: 1.0})
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.coalition = Coalition.of(1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(0, 2**12 - 1),
+        st.lists(
+            st.one_of(
+                st.integers(-3, 14),
+                st.sampled_from([True, False, 2.0, 2.5, "1", None, Fraction(3), 10**30]),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_accepts_exactly_what_set_equality_accepts(self, mask, keys):
+        values = dict.fromkeys(keys, 0.5)
+        expected_ok = set(values) == set(members_of(mask))
+        try:
+            SampleRecord(Coalition(mask), values)
+        except ValueError:
+            assert not expected_ok
+        else:
+            assert expected_ok
 
 
 class TestSampleSizes:
@@ -309,6 +367,40 @@ class TestIterableSamples:
         for i in range(6):
             for s in from_list.sizes_known_for_all():
                 assert from_gen.value_of_size(i, s) == from_list.value_of_size(i, s)
+
+
+    def test_iter_samples_is_lazy_and_matches_draw_samples(self):
+        for game in (random_fhg(9, 0.5, 1), random_anon(9, 1)):
+            dist = UniformCoalitions(9)
+            stream = iter_samples(game, dist, 10**12, random.Random(8))
+            first = [next(stream) for _ in range(50)]
+            assert first == draw_samples(game, dist, 50, random.Random(8))
+            for rec in first:
+                c = rec.coalition
+                assert rec.member_values == {i: game.value(i, c) for i in c}
+                assert list(rec.member_values) == list(c.members())
+
+
+@pytest.mark.slow
+def test_anonymous_fold_at_the_paper_sample_size():
+    """n = 100 at m = anon_sample_size(100, .2, .2, 1): the streamed draw ->
+    learn fold keeps memory bounded by the n x n table, not by m."""
+    n = 100
+    m = anon_sample_size(n, 0.2, 0.2, 1)
+    assert m == 2_163_956
+    game = random_anon(n, 6)
+    tracemalloc.start()
+    try:
+        learned = learn_anonymous(n, iter_samples(game, UniformCoalitions(n), m, random.Random(6)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert learned.m == m
+    assert peak < 200 * 2**20
+    for i in range(n):
+        for s in range(1, n + 1):
+            if learned.has_size(i, s):
+                assert learned.value_of_size(i, s) == game.value_of_size(i, s)
 
 
 class TestLearnAnonymous:
