@@ -45,7 +45,9 @@ from .instances import (
     random_fhg,
 )
 from .learning import (
+    anon_sample_size,
     estimate_interval,
+    fhg_sample_size,
     iter_samples,
     learn_anonymous,
     learn_fhg,
@@ -146,57 +148,55 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _stabilize(klass: str, view, window, certificate):
+    """Run the stabilizer of ``klass``; the window and certificate are used
+    only by the classes that need them."""
+    if klass == "fhg":
+        return stabilize_fhg(view)
+    if klass == "anon":
+        return stabilize_anonymous(view, window)
+    return stabilize_single_peaked(view, certificate, window)
+
+
 def cmd_stabilize(args) -> int:
     klass = args.klass
     if bool(args.game) == bool(args.samples):
         raise UsageError("exactly one of --game or --samples is required")
     loaded = eio.load_game(args.game) if args.game else None
-    if klass == "fhg":
-        if loaded is not None:
-            game = loaded.game
-            if not isinstance(game, SimpleFHG):
-                raise UsageError("--class fhg needs a fractional game file")
-        else:
-            if args.n is None:
-                raise UsageError("--n is required with --samples")
-            game = learn_fhg(args.n, eio.stream_samples(args.samples))
-        partition, trace = stabilize_fhg(game)
-    elif klass in ("anon", "anon-sp"):
-        if loaded is not None:
-            view = loaded.game
-            if not isinstance(view, AnonymousHG):
-                raise UsageError(f"--class {klass} needs an anonymous game file")
-            n = view.n
-            dist = _load_dist(args.dist, n)
-            window = _interval_for_game(view, dist, args.eps, args.lam)
-        else:
-            if args.n is None:
-                raise UsageError("--n is required with --samples")
-            n = args.n
-            view = learn_anonymous(n, eio.stream_samples(args.samples))
-            window = estimate_interval(view, args.lam, args.eps, args.alpha)
-        if klass == "anon":
-            partition, trace = stabilize_anonymous(view, window)
-        else:
-            if args.ordering:
-                ordering = tuple(json.loads(args.ordering))
-            elif loaded is not None and loaded.sp_ordering:
-                ordering = loaded.sp_ordering
-            else:
-                ordering = tuple(range(1, n + 1))
-            if loaded is not None:
-                certificate = check_single_peaked(loaded.game, ordering)
-                if not isinstance(certificate, SinglePeakedCertificate):
-                    raise UsageError(
-                        f"game is not single-peaked along the ordering: {certificate}"
-                    )
-            else:
-                # Sample-driven runs trust the declared ordering; a partial
-                # table cannot be certified.
-                certificate = SinglePeakedCertificate(ordering, ())
-            partition, trace = stabilize_single_peaked(view, certificate, window)
+    if loaded is not None:
+        view = loaded.game
+        if klass == "fhg" and not isinstance(view, SimpleFHG):
+            raise UsageError("--class fhg needs a fractional game file")
+        if klass != "fhg" and not isinstance(view, AnonymousHG):
+            raise UsageError(f"--class {klass} needs an anonymous game file")
+    elif args.n is None:
+        raise UsageError("--n is required with --samples")
     else:
-        raise UsageError(f"unknown class {klass!r}")
+        learn = learn_fhg if klass == "fhg" else learn_anonymous
+        view = learn(args.n, eio.stream_samples(args.samples, n=args.n))
+    if klass == "fhg":
+        window = None
+    elif loaded is not None:
+        window = _interval_for_game(view, _load_dist(args.dist, view.n), args.eps, args.lam)
+    else:
+        window = estimate_interval(view, args.lam, args.eps, args.alpha)
+    certificate = None
+    if klass == "anon-sp":
+        if args.ordering:
+            ordering = tuple(json.loads(args.ordering))
+        elif loaded is not None and loaded.sp_ordering:
+            ordering = loaded.sp_ordering
+        else:
+            ordering = tuple(range(1, view.n + 1))
+        if loaded is not None:
+            certificate = check_single_peaked(view, ordering)
+            if not isinstance(certificate, SinglePeakedCertificate):
+                raise UsageError(f"game is not single-peaked along the ordering: {certificate}")
+        else:
+            # Sample-driven runs trust the declared ordering; a partial
+            # table cannot be certified.
+            certificate = SinglePeakedCertificate(ordering, ())
+    partition, trace = _stabilize(klass, view, window, certificate)
     eio.save_partition(args.out, partition)
     print(f"wrote partition with {len(partition)} blocks to {args.out}")
     if args.trace:
@@ -305,62 +305,36 @@ def _experiment_cells(config: dict) -> list[dict]:
 
 
 def _run_cell(cell: dict) -> dict:
-    row = {
-        "cell": cell["cell"],
-        "class": cell["class"],
-        "n": cell["n"],
-        "p": "" if cell["p"] is None else cell["p"],
-        "seed": cell["seed"],
-        "status": "ok",
-        "eps_floor": "",
-        "fraction": "",
-        "mass": "",
-        "p_hat": "",
-        "ci": "",
-        "error": "",
-    }
+    row = dict.fromkeys(EXPERIMENT_COLUMNS, "")
+    row.update({key: cell[key] for key in ("cell", "class", "n", "seed")}, status="ok")
+    row["p"] = "" if cell["p"] is None else cell["p"]
     try:
         klass, n = cell["class"], cell["n"]
         lam, eps = cell["lambda"], cell["eps"]
         gen_seed = _sub_seed(cell["root_seed"], "gen", cell["cell"], cell["seed"])
         row["eps_floor"] = f"{choose_epsilon_floor(n, lam, klass):.6g}"
+        certificate = None
         if klass == "fhg":
             game = random_fhg(n, cell["p"], gen_seed)
-            certificate = None
         elif klass == "anon":
             game = random_anon(n, gen_seed)
-            certificate = None
         else:
             game, certificate = random_anon_sp(n, gen_seed)
         dist = UniformCoalitions(n)
+        view, window = game, None
         if cell["learn"]:
             sample_seed = _sub_seed(cell["root_seed"], "sample", cell["cell"], cell["seed"])
             rng = random.Random(sample_seed)
             if klass == "fhg":
-                from .learning import fhg_sample_size
-
                 m = fhg_sample_size(n, cell["delta"])
-                learned = learn_fhg(n, iter_samples(game, dist, m, rng))
-                partition, _ = stabilize_fhg(learned)
+                view = learn_fhg(n, iter_samples(game, dist, m, rng))
             else:
-                from .learning import anon_sample_size
-
                 m = anon_sample_size(n, cell["delta"], eps, lam)
                 view = learn_anonymous(n, iter_samples(game, dist, m, rng))
                 window = estimate_interval(view, lam, eps, cell["alpha"])
-                if klass == "anon":
-                    partition, _ = stabilize_anonymous(view, window)
-                else:
-                    partition, _ = stabilize_single_peaked(view, certificate, window)
-        else:
-            if klass == "fhg":
-                partition, _ = stabilize_fhg(game)
-            else:
-                window = _interval_for_game(game, dist, eps, lam)
-                if klass == "anon":
-                    partition, _ = stabilize_anonymous(game, window)
-                else:
-                    partition, _ = stabilize_single_peaked(game, certificate, window)
+        elif klass != "fhg":
+            window = _interval_for_game(game, dist, eps, lam)
+        partition, _ = _stabilize(klass, view, window, certificate)
         report = exact_blocking(game, partition, dist=dist)
         row["fraction"] = f"{float(report.fraction):.10g}"
         row["mass"] = f"{float(report.mass):.10g}"

@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import UnboundedLambdaError
 from .games import Coalition
@@ -369,6 +369,9 @@ class SizeInterval:
 
     def __contains__(self, s: int) -> bool:
         return s in self.sizes
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.sizes)
 
     def __len__(self) -> int:
         return len(self.sizes)

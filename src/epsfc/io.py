@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
@@ -109,10 +110,17 @@ def partition_to_dict(partition: Partition) -> dict:
     return {"blocks": [[i + 1 for i in block.members()] for block in partition.blocks]}
 
 
+def _agents(ids, n: int, what: str) -> list[int]:
+    """The 0-based agents of 1-based ``ids``, each checked to lie in [1, n]
+    before any mask is built from it."""
+    for a in ids:
+        if type(a) is not int or not 1 <= a <= n:
+            raise ValueError(f"{what}: agent id {a!r} is not an integer in [1, {n}]")
+    return [a - 1 for a in ids]
+
+
 def partition_from_dict(d: dict, n: int) -> Partition:
-    return Partition.from_blocks(
-        [[i - 1 for i in block] for block in d["blocks"]], n
-    )
+    return Partition.from_blocks([_agents(block, n, "partition") for block in d["blocks"]], n)
 
 
 def save_partition(path, partition: Partition) -> None:
@@ -131,10 +139,10 @@ def distribution_from_dict(d: dict, n: int):
     if kind == "size_tilted":
         return SizeTilted(n, d["g"])
     if kind == "family":
-        support = [Coalition.from_members(i - 1 for i in c) for c in d["support"]]
+        support = [Coalition.from_members(_agents(c, n, "family support")) for c in d["support"]]
         return FamilyUniform(support, n=n)
     if kind == "adversarial":
-        family = [Coalition.from_members(i - 1 for i in c) for c in d["family"]]
+        family = [Coalition.from_members(_agents(c, n, "adversarial family")) for c in d["family"]]
         return AdversarialBounded(family, n, d["lambda"])
     raise ValueError(f"unknown distribution kind {kind!r}")
 
@@ -191,16 +199,19 @@ def write_samples(path, records) -> int:
     return count
 
 
-def stream_samples(path) -> Iterator[SampleRecord]:
+def stream_samples(path, *, n: int | None = None) -> Iterator[SampleRecord]:
     """Yield the records of a sample file one line at a time.
 
     Reads both line layouts: values listed in member order, and the older
     ``"v": {"agent": value}`` objects. A "p/q" string reads back as an exact
     Fraction and every other number as a float. Raises ValueError naming
     ``path:line`` for a line that is not a JSON object with "S" and "v", an
-    empty or duplicated agent list, an agent id below 1, or a value list
-    whose length differs from the agent list.
+    empty or duplicated agent list, an agent id below 1 (or above ``n``,
+    when given: the id is checked before it is shifted into a mask), or a
+    value list whose length differs from the agent list.
     """
+    top = math.inf if n is None else n
+    span = ">= 1" if n is None else f"in [1, {n}]"
     floats = _Memo(float)
     decode = json.JSONDecoder(parse_float=floats.__getitem__).decode
     fractions = _Memo(_as_fraction)
@@ -217,8 +228,8 @@ def stream_samples(path) -> Iterator[SampleRecord]:
                 raise ValueError(f"{path}:{lineno}: empty coalition")
             mask = 0
             for a in ids:
-                if type(a) is not int or a < 1:
-                    raise ValueError(f"{path}:{lineno}: agent id {a!r} is not an integer >= 1")
+                if type(a) is not int or a < 1 or a > top:
+                    raise ValueError(f"{path}:{lineno}: agent id {a!r} is not an integer {span}")
                 mask |= 1 << a - 1
             if mask.bit_count() != len(ids):
                 raise ValueError(f"{path}:{lineno}: duplicate agent ids in {ids}")
@@ -241,8 +252,8 @@ def stream_samples(path) -> Iterator[SampleRecord]:
             yield record
 
 
-def read_samples(path) -> list[SampleRecord]:
-    return list(stream_samples(path))
+def read_samples(path, *, n: int | None = None) -> list[SampleRecord]:
+    return list(stream_samples(path, n=n))
 
 
 def to_jsonable(obj):

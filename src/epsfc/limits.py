@@ -15,33 +15,19 @@ DEFAULT_SUBSET_GUARD = 24
 DEFAULT_BELL_GUARD = 12
 
 
-def _env_override():
+def _check_guard(n: int, default: int, what: str) -> None:
     raw = os.environ.get(ENV_VAR)
-    if raw is None:
-        return None
     try:
-        return int(raw)
+        limit = default if raw is None else int(raw)
     except ValueError as exc:
         raise GuardError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
-
-
-def subset_guard() -> int:
-    override = _env_override()
-    return DEFAULT_SUBSET_GUARD if override is None else override
-
-
-def bell_guard() -> int:
-    override = _env_override()
-    return DEFAULT_BELL_GUARD if override is None else override
+    if n > limit:
+        raise GuardError(f"{what} needs n <= {limit}, got n = {n} (set {ENV_VAR} to raise)")
 
 
 def check_subset_guard(n: int, what: str = "coalition enumeration") -> None:
-    limit = subset_guard()
-    if n > limit:
-        raise GuardError(f"{what} needs n <= {limit}, got n = {n} (set {ENV_VAR} to raise)")
+    _check_guard(n, DEFAULT_SUBSET_GUARD, what)
 
 
 def check_bell_guard(n: int, what: str = "set-partition enumeration") -> None:
-    limit = bell_guard()
-    if n > limit:
-        raise GuardError(f"{what} needs n <= {limit}, got n = {n} (set {ENV_VAR} to raise)")
+    _check_guard(n, DEFAULT_BELL_GUARD, what)

@@ -12,14 +12,20 @@ stays total (the pool and the loop budget never drop below one, the degree
 cut stays within [0, n-1]). Thresholds can be injected explicitly to
 exercise regimes the clamped defaults cannot reach below n ~ 30000.
 
+The anonymous builders take their size window as any iterable of sizes or
+a SizeInterval. The single-peaked refinement sizes its blocks at the upper
+median of the agents' restricted-peak positions along the certificate
+ordering.
+
 All tie-breaks resolve by ascending agent id, then ascending size.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from .distributions import SizeInterval
+
 from .errors import EmptyIntervalError, LearningError
 from .games import Coalition, Partition, SimpleFHG, SinglePeakedCertificate, bits_of
 from .verification import audit_green_anonymous
@@ -81,7 +87,9 @@ def stabilize_fhg(
 
     When enough agents have low out-degree, the lowest-degree ones are merged
     with a few neighbors each (favoring untouched singletons outside the
-    pool); otherwise a near-clique of high-degree agents is split off.
+    pool); otherwise a near-clique of high-degree agents is split off. The
+    run is starved when the pool or the candidate club empties before the
+    loop budget is spent.
     """
     n = game.n
     if n < 2:
@@ -89,100 +97,67 @@ def stabilize_fhg(
     th = thresholds or FhgThresholds.for_n(n)
     degrees = game.degrees()
     phi = sum(1 for d in degrees if d <= th.degree_cut)
-    if phi >= th.selection_pool:
-        return _matching_branch(game, degrees, th, phi)
-    return _clique_branch(game, degrees, th, phi)
+    branch = "matching" if phi >= th.selection_pool else "clique"
+    build = _matching_branch if branch == "matching" else _clique_branch
+    partition, iterations = build(game, degrees, th)
+    trace = FhgStabilizerTrace(
+        phi=phi,
+        branch=branch,
+        gr=tuple(it.agent for it in iterations),
+        iterations=iterations,
+        thresholds=th,
+        starved=len(iterations) < th.loop_budget,
+    )
+    return partition, trace
 
 
-def _matching_branch(game, degrees, th, phi):
+def _matching_branch(game, degrees, th):
     n = game.n
-    order = sorted(range(n), key=lambda i: (degrees[i], i))
-    pool = order[: th.selection_pool]
-    in_pool = set(pool)
-    block_sets = [{i} for i in range(n)]  # agent -> her current block (shared objects)
-    gr: list[int] = []
+    pool = sorted(range(n), key=lambda i: (degrees[i], i))[: th.selection_pool]
+    block = [1 << a for a in range(n)]  # agent -> mask of her current block
     iterations: list[FhgIteration] = []
-    starved = False
     for _ in range(th.loop_budget):
         if not pool:
-            starved = True
             break
         i = pool[0]
-        gr.append(i)
         d = degrees[i]
         target = 0 if d == 0 else -((-2 * d) // (n - d))  # ceil(2d / (n - d))
         neighbors = list(bits_of(game.neighbors_mask(i)))
-        preferred = [
-            j for j in neighbors if len(block_sets[j]) == 1 and j not in in_pool
-        ]
-        preferred_set = set(preferred)
-        rest = [j for j in neighbors if j not in preferred_set]
+        preferred = [j for j in neighbors if block[j] == 1 << j and j not in pool]
+        rest = [j for j in neighbors if j not in preferred]
         partners = tuple((preferred + rest)[:target])
-        if partners:
-            merged = set(block_sets[i])
-            for j in partners:
-                merged |= block_sets[j]
-            for a in merged:
-                block_sets[a] = merged
-        drop = set(partners) | {i}
-        pool = [a for a in pool if a not in drop]
-        in_pool -= drop
+        merged = block[i]
+        for j in partners:
+            merged |= block[j]
+        for a in bits_of(merged):
+            block[a] = merged
+        pool = [a for a in pool if a != i and a not in partners]
         iterations.append(FhgIteration(agent=i, partners=partners))
-    partition = _partition_from_block_sets(block_sets, n)
-    trace = FhgStabilizerTrace(
-        phi=phi,
-        branch="matching",
-        gr=tuple(gr),
-        iterations=tuple(iterations),
-        thresholds=th,
-        starved=starved,
-    )
-    return partition, trace
+    # each block once, at its lowest agent, so blocks run by lowest agent
+    blocks = [Coalition(m) for a, m in enumerate(block) if m & -m == 1 << a]
+    return Partition(blocks, n), tuple(iterations)
 
 
-def _clique_branch(game, degrees, th, phi):
+def _clique_branch(game, degrees, th):
     n = game.n
-    club = set(range(n))
-    gr: list[int] = []
+    everyone = (1 << n) - 1
+    club = everyone
+    taken = 0  # agents already selected
     iterations: list[FhgIteration] = []
-    starved = False
     for _ in range(th.loop_budget):
-        candidates = club - set(gr)
+        candidates = club & ~taken
         if not candidates:
-            starved = True
             break
-        i = max(candidates, key=lambda a: (degrees[a], -a))
-        keep = game.neighbors_mask(i) | (1 << i)
-        removed = tuple(a for a in sorted(club) if not keep >> a & 1)
-        club -= set(removed)
-        gr.append(i)
+        i = max(bits_of(candidates), key=lambda a: (degrees[a], -a))
+        keep = game.neighbors_mask(i) | 1 << i
+        removed = tuple(bits_of(club & ~keep))
+        club &= keep
+        taken |= 1 << i
         iterations.append(FhgIteration(agent=i, removed=removed))
-    blocks = [Coalition.from_members(club)]
-    outside = set(range(n)) - club
-    if outside:
-        blocks.append(Coalition.from_members(outside))
-    partition = Partition(blocks, n)
-    trace = FhgStabilizerTrace(
-        phi=phi,
-        branch="clique",
-        gr=tuple(gr),
-        iterations=tuple(iterations),
-        thresholds=th,
-        starved=starved,
-    )
-    return partition, trace
-
-
-def _partition_from_block_sets(block_sets, n):
-    seen = set()
-    blocks = []
-    for i in range(n):
-        ident = id(block_sets[i])
-        if ident not in seen:
-            seen.add(ident)
-            blocks.append(Coalition.from_members(block_sets[i]))
-    blocks.sort(key=lambda b: (b.mask & -b.mask))
-    return Partition(blocks, n)
+    blocks = [Coalition(club)]
+    if club != everyone:
+        blocks.append(Coalition(everyone ^ club))
+    return Partition(blocks, n), tuple(iterations)
 
 
 @dataclass(frozen=True)
@@ -210,70 +185,52 @@ class AnonStabilizerTrace:
     after_in_star: tuple[int, ...] | None = None
 
 
-def _interval_sizes(interval) -> tuple[int, ...]:
-    if isinstance(interval, SizeInterval):
-        return tuple(sorted(interval.sizes))
-    return tuple(sorted(interval))
-
-
-def _require_known(view, sizes):
-    missing = [
-        (i, s) for i in range(view.n) for s in sizes if not view.has_size(i, s)
-    ]
+def _window(view, interval) -> tuple[int, ...]:
+    """The window's sizes ascending, once every agent's value at each is known."""
+    sizes = tuple(sorted(interval))
+    if not sizes:
+        raise EmptyIntervalError("cannot stabilize over an empty size window")
+    missing = [(i, s) for i in range(view.n) for s in sizes if not view.has_size(i, s)]
     if missing:
         raise LearningError(f"valuations missing for (agent, size) pairs: {missing[:8]}")
+    return sizes
 
 
 def _restricted_peak(view, i, sizes):
     """Smallest size in ``sizes`` attaining agent i's maximum over them."""
-    best_s = sizes[0]
-    best_v = view.value_of_size(i, best_s)
-    for s in sizes[1:]:
-        v = view.value_of_size(i, s)
-        if v > best_v:
-            best_s, best_v = s, v
-    return best_s
+    return max(sizes, key=lambda s: (view.value_of_size(i, s), -s))
 
 
-def _fill_blocks(ordered_agents, s_star, q, r, n):
-    blocks = [
-        Coalition.from_members(ordered_agents[k * s_star : (k + 1) * s_star])
-        for k in range(q)
-    ]
-    if r:
-        blocks.append(Coalition.from_members(ordered_agents[q * s_star :]))
+def _pack(view, s_star, first) -> Partition:
+    """Cut ``first`` and then every other agent, ascending, into blocks of
+    ``s_star``; the n mod s_star agents left over form one remainder block."""
+    n = view.n
+    chosen = set(first)
+    ordered = [*first, *(i for i in range(n) if i not in chosen)]
+    blocks = [Coalition.from_members(ordered[k : k + s_star]) for k in range(0, n, s_star)]
     return Partition(blocks, n)
 
 
 def stabilize_anonymous(view, interval) -> tuple[Partition, AnonStabilizerTrace]:
     """Pack agents into blocks of the window size most of them prefer.
 
-    ``view`` is an AnonymousHG or a LearnedAnonymous; only sizes inside the
-    window are consulted, so a partial learned table suffices. The most
-    popular restricted-peak size s* wins (ties to the smaller size), agents
-    peaking at s* are placed into the full blocks first, and the n mod s*
-    leftover agents form one remainder block.
+    ``view`` is an AnonymousHG or a LearnedAnonymous; ``interval`` is any
+    iterable of sizes or a SizeInterval. Only sizes inside the window are
+    consulted, so a partial learned table suffices. The most popular
+    restricted-peak size s* wins (ties to the smaller size), agents peaking
+    at s* are placed into the full blocks first, and the n mod s* leftover
+    agents form one remainder block.
     """
-    sizes = _interval_sizes(interval)
-    if not sizes:
-        raise EmptyIntervalError("cannot stabilize over an empty size window")
-    n = view.n
-    _require_known(view, sizes)
-    peaks = [_restricted_peak(view, i, sizes) for i in range(n)]
-    counts = {s: 0 for s in sizes}
-    for p in peaks:
-        counts[p] += 1
+    sizes = _window(view, interval)
+    peaks = [_restricted_peak(view, i, sizes) for i in range(view.n)]
+    counts = Counter(peaks)
     s_star = max(sizes, key=lambda s: (counts[s], -s))
-    q, r = divmod(n, s_star)
-    ordered = [i for i in range(n) if peaks[i] == s_star] + [
-        i for i in range(n) if peaks[i] != s_star
-    ]
-    partition = _fill_blocks(ordered, s_star, q, r, n)
+    partition = _pack(view, s_star, [i for i, p in enumerate(peaks) if p == s_star])
     trace = AnonStabilizerTrace(
         sizes=sizes,
         s_star=s_star,
-        q=q,
-        r=r,
+        q=view.n // s_star,
+        r=view.n % s_star,
         green_agents=tuple(audit_green_anonymous(view, partition, sizes)),
     )
     return partition, trace
@@ -284,60 +241,42 @@ def stabilize_single_peaked(
 ) -> tuple[Partition, AnonStabilizerTrace]:
     """Single-peaked refinement of the preferred-size packing.
 
-    The window's sizes are ranked by the certificate ordering; restricting
-    single-peaked preferences to the window keeps them single-peaked, so each
-    agent has a well-defined restricted peak position. The chosen position is
-    the highest one such that at most half the agents peak strictly before
-    it; agents peaking exactly there get priority for the full-size blocks,
-    landing in the remainder block only if every full block is made of them.
+    ``interval`` is any iterable of sizes or a SizeInterval. The window's
+    sizes are ranked by the certificate ordering; restricting single-peaked
+    preferences to the window keeps them single-peaked, so each agent has a
+    well-defined restricted peak position. The chosen position h* is the
+    highest one such that at most half the agents peak strictly before it,
+    which is the upper median of the peak positions, ``sorted(peaks)[n // 2]``
+    (every position qualifies when n = 0, so h* is the last one). Agents
+    peaking exactly at h* get priority for the full-size blocks, landing in
+    the remainder block only if every full block is made of them.
     """
-    sizes = _interval_sizes(interval)
-    if not sizes:
-        raise EmptyIntervalError("cannot stabilize over an empty size window")
+    sizes = _window(view, interval)
     n = view.n
-    _require_known(view, sizes)
-    size_set = set(sizes)
-    by_position = tuple(s for s in certificate.ordering if s in size_set)
-    position_of = {s: h for h, s in enumerate(by_position)}
-    peak_pos = []
-    for i in range(n):
-        s = _restricted_peak(view, i, sizes)
-        peak_pos.append(position_of[s])
-    k = len(by_position)
-    # highest position h with |{i : peak position < h}| <= n/2
-    h_star = 0
-    before = 0
-    counts_at = [0] * k
-    for p in peak_pos:
-        counts_at[p] += 1
-    for h in range(k):
-        if h > 0:
-            before += counts_at[h - 1]
-        if 2 * before <= n:
-            h_star = h
-    s_star = by_position[h_star]
-    peaked_before = tuple(i for i in range(n) if peak_pos[i] < h_star)
-    peaked_at = tuple(i for i in range(n) if peak_pos[i] == h_star)
-    peaked_after = tuple(i for i in range(n) if peak_pos[i] > h_star)
-    q, r = divmod(n, s_star)
-    at_set = set(peaked_at)
-    ordered = list(peaked_at) + [i for i in range(n) if i not in at_set]
-    partition = _fill_blocks(ordered, s_star, q, r, n)
-    in_star = {i for i in range(n) if partition.size_of(i) == s_star}
+    ordered_sizes = tuple(s for s in certificate.ordering if s in sizes)
+    position = {s: h for h, s in enumerate(ordered_sizes)}
+    peak_pos = [position[_restricted_peak(view, i, sizes)] for i in range(n)]
+    h_star = sorted(peak_pos)[n // 2] if n else len(ordered_sizes) - 1
+    s_star = ordered_sizes[h_star]
+    before = tuple(i for i, p in enumerate(peak_pos) if p < h_star)
+    at = tuple(i for i, p in enumerate(peak_pos) if p == h_star)
+    after = tuple(i for i, p in enumerate(peak_pos) if p > h_star)
+    partition = _pack(view, s_star, at)
+    in_star = [partition.size_of(i) == s_star for i in range(n)]
     trace = AnonStabilizerTrace(
         sizes=sizes,
         s_star=s_star,
-        q=q,
-        r=r,
+        q=n // s_star,
+        r=n % s_star,
         green_agents=tuple(audit_green_anonymous(view, partition, sizes)),
-        ordered_sizes=by_position,
+        ordered_sizes=ordered_sizes,
         h_star=h_star,
-        peaked_before=peaked_before,
-        peaked_at=peaked_at,
-        peaked_after=peaked_after,
-        before_in_star=tuple(i for i in peaked_before if i in in_star),
-        at_in_star=tuple(i for i in peaked_at if i in in_star),
-        after_in_star=tuple(i for i in peaked_after if i in in_star),
+        peaked_before=before,
+        peaked_at=at,
+        peaked_after=after,
+        before_in_star=tuple(i for i in before if in_star[i]),
+        at_in_star=tuple(i for i in at if in_star[i]),
+        after_in_star=tuple(i for i in after if in_star[i]),
     )
     return partition, trace
 

@@ -25,10 +25,10 @@ from typing import Callable
 from .distributions import (
     AdversarialBounded,
     FamilyUniform,
-    SizeInterval,
     SizeTilted,
     UniformCoalitions,
 )
+from .errors import EmptyIntervalError
 from .games import (
     AnonymousHG,
     Coalition,
@@ -325,13 +325,15 @@ def audit_green_anonymous(view, partition: Partition, sizes) -> list[int]:
 
     Such agents cannot strictly improve in any coalition whose size stays
     inside ``sizes``, so coalitions containing them block only from outside
-    the window.
+    the window. ``sizes`` is any iterable of sizes or a SizeInterval; an
+    empty window raises EmptyIntervalError.
     """
-    size_list = tuple(sorted(sizes.sizes if isinstance(sizes, SizeInterval) else sizes))
-    size_set = set(size_list)
+    size_set = set(sizes)
+    if not size_set:
+        raise EmptyIntervalError("cannot audit green agents over an empty size window")
     green = []
     for i in range(view.n):
-        top = max(view.value_of_size(i, s) for s in size_list)
+        top = max(view.value_of_size(i, s) for s in size_set)
         s = partition.size_of(i)
         if s in size_set and view.value_of_size(i, s) == top:
             green.append(i)
@@ -370,9 +372,17 @@ def _mixing_witnesses(improve_s: int, before: int, after: int, s: int, limit: in
 def check_sp_lemmas(
     game: AnonymousHG, partition: Partition, sizes, trace
 ) -> SpLemmaReport:
-    """Count all blockers in closed form and audit the single-peaked packing's lemmas."""
+    """Count all blockers in closed form and audit the single-peaked packing's lemmas.
+
+    ``sizes`` is any iterable of sizes or a SizeInterval; ``trace`` must come
+    from ``stabilize_single_peaked``, whose camps the lemmas are about.
+    """
+    if trace.at_in_star is None:
+        raise ValueError(
+            "check_sp_lemmas needs a stabilize_single_peaked trace; this one has no camps"
+        )
     n = game.n
-    size_set = set(sizes.sizes if isinstance(sizes, SizeInterval) else sizes)
+    size_set = set(sizes)
     at_mask = mask_of(trace.at_in_star)
     before_mask = mask_of(trace.before_in_star)
     after_mask = mask_of(trace.after_in_star)

@@ -125,12 +125,14 @@ def simulate_fhg_construction(adj_rows, pool_size, loop_budget, degree_cut):
 
     log = []
     gr = []
+    starved = False  # the pool or the candidate club ran dry before the budget
     if phi >= pool_size:
         branch = "matching"
         order = sorted(range(n), key=lambda i: (degrees[i], i))
         pool = order[:pool_size]
         for _ in range(loop_budget):
             if not pool:
+                starved = True
                 break
             i = pool[0]
             gr.append(i)
@@ -157,6 +159,7 @@ def simulate_fhg_construction(adj_rows, pool_size, loop_budget, degree_cut):
         for _ in range(loop_budget):
             candidates = sorted(club - set(gr))
             if not candidates:
+                starved = True
                 break
             best = max(d for a, d in enumerate(degrees) if a in candidates)
             i = min(a for a in candidates if degrees[a] == best)
@@ -168,7 +171,7 @@ def simulate_fhg_construction(adj_rows, pool_size, loop_budget, degree_cut):
         rest = sorted(set(range(n)) - club)
         if rest:
             blocks.append(rest)
-        return branch, phi, gr, log, blocks
+        return branch, phi, gr, log, blocks, starved
 
     seen = []
     blocks = []
@@ -176,7 +179,120 @@ def simulate_fhg_construction(adj_rows, pool_size, loop_budget, degree_cut):
         if not any(partition[i] is s for s in seen):
             seen.append(partition[i])
             blocks.append(sorted(partition[i]))
-    return branch, phi, gr, log, blocks
+    return branch, phi, gr, log, blocks, starved
+
+
+# --- Reference preferred-size packers for anonymous games ---
+#
+# The packers as first written: the window normalised by hand, restricted
+# peaks found by a strict-improvement scan, sizes tallied in a dict and the
+# single-peaked position h* found by a counting loop. ``view`` needs only n,
+# has_size(i, s) and value_of_size(i, s). Each returns the blocks as masks in
+# output order and the trace as the dict dataclasses.asdict gives for the
+# package's AnonStabilizerTrace.
+
+
+def _reference_window(view, interval):
+    sizes = tuple(sorted(getattr(interval, "sizes", interval)))
+    assert sizes, "empty size window"
+    assert all(view.has_size(i, s) for i in range(view.n) for s in sizes), "unknown valuations"
+    return sizes
+
+
+def _reference_peak(view, i, sizes):
+    best_s = sizes[0]
+    best_v = view.value_of_size(i, best_s)
+    for s in sizes[1:]:
+        v = view.value_of_size(i, s)
+        if v > best_v:
+            best_s, best_v = s, v
+    return best_s
+
+
+def _reference_fill(ordered, s_star, n):
+    q, r = divmod(n, s_star)
+    blocks = [ordered[k * s_star : (k + 1) * s_star] for k in range(q)]
+    if r:
+        blocks.append(ordered[q * s_star :])
+    masks = [sum(1 << i for i in block) for block in blocks]
+    size_of = {i: len(block) for block in blocks for i in block}
+    return masks, size_of, q, r
+
+
+def _reference_green(view, size_of, sizes):
+    green = []
+    for i in range(view.n):
+        top = max(view.value_of_size(i, s) for s in sizes)
+        s = size_of[i]
+        if s in sizes and view.value_of_size(i, s) == top:
+            green.append(i)
+    return tuple(green)
+
+
+_SP_FIELDS = (
+    "ordered_sizes", "h_star", "peaked_before", "peaked_at", "peaked_after",
+    "before_in_star", "at_in_star", "after_in_star",
+)
+
+
+def reference_stabilize_anonymous(view, interval):
+    sizes = _reference_window(view, interval)
+    n = view.n
+    peaks = [_reference_peak(view, i, sizes) for i in range(n)]
+    counts = {s: 0 for s in sizes}
+    for p in peaks:
+        counts[p] += 1
+    s_star = max(sizes, key=lambda s: (counts[s], -s))
+    ordered = [i for i in range(n) if peaks[i] == s_star] + [
+        i for i in range(n) if peaks[i] != s_star
+    ]
+    masks, size_of, q, r = _reference_fill(ordered, s_star, n)
+    trace = {
+        "sizes": sizes, "s_star": s_star, "q": q, "r": r,
+        "green_agents": _reference_green(view, size_of, sizes),
+    }
+    trace.update(dict.fromkeys(_SP_FIELDS))
+    return masks, trace
+
+
+def reference_stabilize_single_peaked(view, ordering, interval):
+    sizes = _reference_window(view, interval)
+    n = view.n
+    by_position = tuple(s for s in ordering if s in set(sizes))
+    position_of = {s: h for h, s in enumerate(by_position)}
+    peak_pos = [position_of[_reference_peak(view, i, sizes)] for i in range(n)]
+    k = len(by_position)
+    # highest position h with |{i : peak position < h}| <= n/2
+    h_star = 0
+    before = 0
+    counts_at = [0] * k
+    for p in peak_pos:
+        counts_at[p] += 1
+    for h in range(k):
+        if h > 0:
+            before += counts_at[h - 1]
+        if 2 * before <= n:
+            h_star = h
+    s_star = by_position[h_star]
+    peaked_before = tuple(i for i in range(n) if peak_pos[i] < h_star)
+    peaked_at = tuple(i for i in range(n) if peak_pos[i] == h_star)
+    peaked_after = tuple(i for i in range(n) if peak_pos[i] > h_star)
+    ordered = list(peaked_at) + [i for i in range(n) if i not in peaked_at]
+    masks, size_of, q, r = _reference_fill(ordered, s_star, n)
+    in_star = {i for i in range(n) if size_of[i] == s_star}
+    trace = {
+        "sizes": sizes, "s_star": s_star, "q": q, "r": r,
+        "green_agents": _reference_green(view, size_of, sizes),
+        "ordered_sizes": by_position,
+        "h_star": h_star,
+        "peaked_before": peaked_before,
+        "peaked_at": peaked_at,
+        "peaked_after": peaked_after,
+        "before_in_star": tuple(i for i in peaked_before if i in in_star),
+        "at_in_star": tuple(i for i in peaked_at if i in in_star),
+        "after_in_star": tuple(i for i in peaked_after if i in in_star),
+    }
+    return masks, trace
 
 
 def dict_keyed_sample_lines(records):

@@ -132,6 +132,13 @@ class TestStabilize:
         assert code == 2
         assert f"{samples}:2: duplicate agent ids" in capsys.readouterr().err
 
+    def test_sample_agent_past_n_is_a_usage_error(self, tmp_path, capsys):
+        samples = tmp_path / "s.jsonl"
+        samples.write_text('{"S":[1],"v":[0.5]}\n{"S":[2,5],"v":[0.5,0.5]}\n')
+        code = run("stabilize", "--class", "anon", "--samples", samples, "--n", 4, "--out", tmp_path / "p.json")
+        assert code == 2
+        assert f"{samples}:2: agent id 5 is not an integer in [1, 4]" in capsys.readouterr().err
+
     def test_game_and_samples_mutually_exclusive(self, tmp_path):
         assert run("stabilize", "--class", "fhg", "--out", tmp_path / "p.json") == 2
 

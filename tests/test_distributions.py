@@ -224,6 +224,11 @@ class TestSizeInterval:
         assert sizes == tuple(range(46, 55))
         assert SizeInterval(45.0, 55.0, sizes).sizes == tuple(range(46, 55))
 
+    def test_iterates_its_sizes(self):
+        iv = size_interval(5.0, 1, 0.9, 10)
+        assert iv.sizes and list(iv) == list(iv.sizes)
+        assert sorted(iv) == sorted(iv.sizes) and set(iv) == set(iv.sizes)
+
     def test_wide_delta_keeps_low_sizes(self):
         iv = size_interval(3.0, 1, 0.5, 4)
         assert iv.lo <= 0

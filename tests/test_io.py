@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -70,6 +71,12 @@ class TestPartitionRoundtrip:
             eio.save_partition(path, p)
             assert eio.load_partition(path, 8) == p
 
+    @pytest.mark.parametrize("block", [[1, 4], [0, 1], [1, 10**7], [1.0, 2]])
+    def test_ids_outside_one_to_n_rejected(self, block):
+        others = [i for i in (1, 2, 3) if i not in block]
+        with pytest.raises(ValueError, match=r"partition: agent id .* is not an integer in \[1, 3\]"):
+            eio.partition_from_dict({"blocks": [block, others]}, 3)
+
 
 class TestDistributionSpecs:
     def test_uniform(self):
@@ -113,6 +120,19 @@ class TestDistributionSpecs:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             eio.distribution_from_dict({"kind": "gaussian"}, 3)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "family", "support": [[1], [2, 4]]},
+            {"kind": "family", "support": [[10**7]]},
+            {"kind": "adversarial", "family": [[0]], "lambda": 2},
+            {"kind": "adversarial", "family": [[1, 4]], "lambda": 2},
+        ],
+    )
+    def test_ids_outside_one_to_n_rejected(self, spec):
+        with pytest.raises(ValueError, match=r"agent id .* is not an integer in \[1, 3\]"):
+            eio.distribution_from_dict(spec, 3)
 
 
 class TestSamples:
@@ -236,6 +256,20 @@ class TestMalformedSampleLines:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: ") as info:
             eio.read_samples(path)
         assert words in str(info.value)
+
+    @pytest.mark.parametrize("agent", [4, 10**7])
+    def test_agent_past_n_rejected_before_it_is_shifted(self, tmp_path, agent):
+        path = tmp_path / "s.jsonl"
+        path.write_text(self.GOOD + '{"S":[1,%d],"v":[0.5,0.5]}\n' % agent)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: agent id {agent} "):
+                eio.read_samples(path, n=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000  # a mask with bit 10**7 set alone takes 1.25 MB
+        assert len(eio.read_samples(path, n=agent)) == 2
 
     def test_empty_coalition_is_not_counted_as_a_sample(self, tmp_path):
         path = tmp_path / "s.jsonl"

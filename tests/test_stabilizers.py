@@ -1,7 +1,10 @@
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsfc import (
     AnonymousHG,
@@ -17,8 +20,15 @@ from epsfc import (
     stabilize_single_peaked,
     validate_partition,
 )
+from epsfc.distributions import SizeInterval
+from epsfc.errors import LearningError
 from epsfc.instances import random_anon, random_anon_sp, random_fhg
-from oracles import simulate_fhg_construction
+from epsfc.learning import LearnedAnonymous
+from oracles import (
+    reference_stabilize_anonymous,
+    reference_stabilize_single_peaked,
+    simulate_fhg_construction,
+)
 
 
 def complete_digraph(n):
@@ -61,14 +71,15 @@ class TestStabilizeFhg:
         g = SimpleFHG.from_matrix(star)
         partition, trace = stabilize_fhg(g)
         th = trace.thresholds
-        branch, phi, gr, log, blocks = simulate_fhg_construction(
+        branch, phi, gr, log, blocks, starved = simulate_fhg_construction(
             star, th.selection_pool, th.loop_budget, th.degree_cut
         )
         assert trace.branch == branch
         assert trace.phi == phi
         assert trace.gr == tuple(gr)
+        assert trace.starved == starved
         assert [(it.agent, it.partners) for it in trace.iterations] == log
-        assert sorted(sorted(b.members()) for b in partition.blocks) == sorted(blocks)
+        assert [list(b.members()) for b in partition.blocks] == blocks
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_replays_simulator_with_injected_thresholds(self, seed):
@@ -81,15 +92,16 @@ class TestStabilizeFhg:
             degree_cut=rng.randrange(0, n),
         )
         partition, trace = stabilize_fhg(g, th)
-        branch, phi, gr, log, blocks = simulate_fhg_construction(
+        branch, phi, gr, log, blocks, starved = simulate_fhg_construction(
             g.matrix(), th.selection_pool, th.loop_budget, th.degree_cut
         )
         assert trace.branch == branch and trace.phi == phi and trace.gr == tuple(gr)
+        assert trace.starved == starved
         if branch == "matching":
             assert [(it.agent, it.partners) for it in trace.iterations] == log
         else:
             assert [(it.agent, it.removed) for it in trace.iterations] == log
-        assert sorted(sorted(b.members()) for b in partition.blocks) == sorted(blocks)
+        assert [list(b.members()) for b in partition.blocks] == blocks
         assert validate_partition(partition.blocks, n).ok
 
     def test_matching_partner_counts(self):
@@ -133,6 +145,83 @@ class TestStabilizeFhg:
     def test_needs_two_agents(self):
         with pytest.raises(ValueError):
             stabilize_fhg(SimpleFHG(1, [0]))
+
+
+@st.composite
+def _fhg_runs(draw):
+    n = draw(st.integers(2, 12))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    adj = [[int(i != j and rows[i] >> j & 1) for j in range(n)] for i in range(n)]
+    th = FhgThresholds(
+        selection_pool=draw(st.integers(1, n + 1)),
+        loop_budget=draw(st.integers(1, 5)),
+        degree_cut=draw(st.integers(-1, n - 1)),
+    )
+    return adj, th
+
+
+class TestFhgReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(_fhg_runs())
+    def test_every_trace_field_and_block_order_replays(self, run):
+        adj, th = run
+        partition, trace = stabilize_fhg(SimpleFHG.from_matrix(adj), th)
+        branch, phi, gr, log, blocks, starved = simulate_fhg_construction(
+            adj, th.selection_pool, th.loop_budget, th.degree_cut
+        )
+        assert (trace.branch, trace.phi, trace.gr, trace.starved) == (branch, phi, tuple(gr), starved)
+        moved = "partners" if branch == "matching" else "removed"
+        assert [(it.agent, getattr(it, moved)) for it in trace.iterations] == log
+        assert [list(b.members()) for b in partition.blocks] == blocks
+
+
+@st.composite
+def _anon_runs(draw):
+    """A game with many tied values, a window in any of its forms, and a
+    shuffled size ordering; n = 0 uses sizes 1..3 so a window exists."""
+    n = draw(st.integers(0, 14))
+    levels = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    table = draw(st.lists(st.lists(levels, min_size=n, max_size=n), min_size=n, max_size=n))
+    span = n or 3
+    sizes = draw(st.lists(st.integers(1, span), min_size=1, max_size=span, unique=True))
+    form = draw(st.sampled_from(["list", "set", "interval"]))
+    window = {
+        "list": sizes,
+        "set": set(sizes),
+        "interval": SizeInterval(0.0, span + 1.0, tuple(sorted(sizes))),
+    }[form]
+    ordering = tuple(draw(st.permutations(range(1, span + 1))))
+    return AnonymousHG(table), window, ordering
+
+
+class TestAnonymousMatchesReference:
+    """The packers against the reference bodies in tests/oracles.py: blocks
+    in output order and every trace field."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_anon_runs())
+    def test_preferred_size_packing(self, run):
+        game, window, _ = run
+        partition, trace = stabilize_anonymous(game, window)
+        masks, fields = reference_stabilize_anonymous(game, window)
+        assert [b.mask for b in partition.blocks] == masks
+        assert dataclasses.asdict(trace) == fields
+
+    @settings(max_examples=300, deadline=None)
+    @given(_anon_runs())
+    def test_single_peaked_packing(self, run):
+        game, window, ordering = run
+        cert = SinglePeakedCertificate(ordering, ())
+        partition, trace = stabilize_single_peaked(game, cert, window)
+        masks, fields = reference_stabilize_single_peaked(game, ordering, window)
+        assert [b.mask for b in partition.blocks] == masks
+        assert dataclasses.asdict(trace) == fields
+
+    def test_no_agents_takes_the_last_position(self):
+        # with n = 0 no agent peaks before any position, so every one qualifies
+        cert = SinglePeakedCertificate((3, 1, 2), ())
+        partition, trace = stabilize_single_peaked(AnonymousHG([]), cert, [1, 2, 3])
+        assert (trace.h_star, trace.s_star, len(partition)) == (2, 2, 0)
 
 
 class TestStabilizeAnonymous:
@@ -194,6 +283,12 @@ class TestStabilizeAnonymous:
         g = random_anon(4, 1)
         with pytest.raises(EmptyIntervalError):
             stabilize_anonymous(g, [])
+        with pytest.raises(EmptyIntervalError):
+            stabilize_single_peaked(g, SinglePeakedCertificate((1, 2, 3, 4), ()), set())
+
+    def test_unobserved_window_size(self):
+        with pytest.raises(LearningError, match="valuations missing"):
+            stabilize_anonymous(LearnedAnonymous(3), [1, 2])
 
     def test_deterministic(self):
         g = random_anon(9, 4)

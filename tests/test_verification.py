@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from epsfc import (
     AnonymousHG,
     Coalition,
+    EmptyIntervalError,
     GuardError,
     Partition,
     SimpleFHG,
+    SizeInterval,
     SizeTilted,
     UniformCoalitions,
     adversarial_bounded,
@@ -226,6 +228,17 @@ class TestGreenAudit:
         green = audit_green_anonymous(g, p, [2])
         assert green == [i for i in range(6) if p.size_of(i) == 2]
 
+    @pytest.mark.parametrize("window", [[], set(), SizeInterval(0.5, 0.9, ())])
+    def test_empty_window_names_the_window(self, window):
+        with pytest.raises(EmptyIntervalError, match="empty size window"):
+            audit_green_anonymous(random_anon(3, 1), Partition.grand(3), window)
+
+    def test_size_interval_window(self):
+        g = random_anon(6, 3)
+        p = Partition.from_blocks([[0, 1], [2, 3], [4], [5]], 6)
+        window = size_interval(2.0, 1, 0.9, 6)
+        assert audit_green_anonymous(g, p, window) == audit_green_anonymous(g, p, list(window.sizes))
+
     def test_out_of_window_block_not_green(self):
         row = [1.0, 0.5, 0.2]
         g = AnonymousHG([row] * 3)
@@ -256,6 +269,14 @@ class TestSpLemmas:
         report = check_sp_lemmas(g, partition, window, trace)
         assert report.ok
         assert report.blockers_in_window <= report.window_bound
+
+    def test_needs_a_single_peaked_trace(self):
+        n = 8
+        g, _ = random_anon_sp(n, 77)
+        window = self._window(n)
+        partition, trace = stabilize_anonymous(g, window)
+        with pytest.raises(ValueError, match="stabilize_single_peaked trace"):
+            check_sp_lemmas(g, partition, window, trace)
 
     def test_corrupted_partition_reports_witness(self):
         n = 8
