@@ -12,8 +12,11 @@ failure or empty size window, 5 verification found a violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -45,6 +48,7 @@ from .instances import (
     random_fhg,
 )
 from .learning import (
+    LearnedAnonymous,
     anon_sample_size,
     estimate_interval,
     fhg_sample_size,
@@ -66,18 +70,6 @@ EXIT_GUARD = 3
 EXIT_LEARNING = 4
 EXIT_VIOLATION = 5
 
-VERIFY_COLUMNS = [
-    "n",
-    "class",
-    "eps_floor",
-    "fraction",
-    "mass",
-    "p_hat",
-    "ci",
-    "seed",
-    "wall_ms",
-]
-
 
 class UsageError(EpsfcError):
     pass
@@ -98,42 +90,34 @@ def _load_dist(spec: str | None, n: int):
     return eio.load_distribution(spec, n)
 
 
-def _interval_for_game(game: AnonymousHG, dist, eps: float, lam: float):
-    mu = float(mean_size(dist))
-    window = size_interval(mu, lam, eps, game.n)
-    if not window.sizes:
-        raise EmptyIntervalError(f"no integer size falls in ({window.lo:.3f}, {window.hi:.3f})")
-    return window
+def _random_game(klass: str, n: int, p, seed):
+    """A seeded random game of ``klass`` and, for anon-sp, its certificate."""
+    if klass == "fhg":
+        return random_fhg(n, p, seed), None
+    if klass == "anon":
+        return random_anon(n, seed), None
+    return random_anon_sp(n, seed)
 
 
 def cmd_gen(args) -> int:
+    klass, _, mode = args.kind.rpartition("-")
     provenance = {"kind": args.kind, "n": args.n, "seed": args.seed}
-    sp_ordering = None
-    if args.kind == "fhg-random":
-        if args.p is None or not 0 <= args.p <= 1:
-            raise UsageError("--p in [0, 1] is required for fhg-random")
-        provenance["p"] = args.p
-        game = random_fhg(args.n, args.p, args.seed)
-    elif args.kind == "anon-random":
-        game = random_anon(args.n, args.seed)
-    elif args.kind == "anon-sp-random":
-        game, cert = random_anon_sp(args.n, args.seed)
-        sp_ordering = cert.ordering
-    elif args.kind == "fhg-extend":
+    if mode == "extend":
         if not args.base:
-            raise UsageError("--base is required for fhg-extend")
+            raise UsageError(f"--base is required for {args.kind}")
         base = eio.load_game(args.base).game
         provenance["base_n"] = base.n
-        game = extend_fhg(base, args.n)
-    elif args.kind == "anon-sp-extend":
-        if not args.base:
-            raise UsageError("--base is required for anon-sp-extend")
-        base = eio.load_game(args.base).game
-        provenance["base_n"] = base.n
-        game, cert = extend_anon_sp(base, args.n)
-        sp_ordering = cert.ordering
+        if klass == "fhg":
+            game, cert = extend_fhg(base, args.n), None
+        else:
+            game, cert = extend_anon_sp(base, args.n)
     else:
-        raise UsageError(f"unknown generator kind {args.kind!r}")
+        if klass == "fhg":
+            if args.p is None or not 0 <= args.p <= 1:
+                raise UsageError("--p in [0, 1] is required for fhg-random")
+            provenance["p"] = args.p
+        game, cert = _random_game(klass, args.n, args.p, args.seed)
+    sp_ordering = cert.ordering if cert else None
     eio.save_game(args.out, game, sp_ordering=sp_ordering, provenance=provenance)
     print(f"wrote {args.kind} game with n={game.n} to {args.out}")
     return EXIT_OK
@@ -148,14 +132,35 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _stabilize(klass: str, view, window, certificate):
-    """Run the stabilizer of ``klass``; the window and certificate are used
-    only by the classes that need them."""
+def _stabilize(klass: str, view, dist, eps: float, lam: float, alpha, certificate):
+    """Run the stabilizer of ``klass`` on ``view``.
+
+    The anonymous classes pick their size window here: a learned table
+    estimates it from its samples, an exact game takes the window around the
+    mean size under ``dist``.
+    """
     if klass == "fhg":
         return stabilize_fhg(view)
+    if isinstance(view, LearnedAnonymous):
+        window = estimate_interval(view, lam, eps, alpha)
+    else:
+        window = size_interval(float(mean_size(dist)), lam, eps, view.n)
+    if not window.sizes:  # estimate_interval raises on its own
+        raise EmptyIntervalError(f"no integer size falls in ({window.lo:.3f}, {window.hi:.3f})")
     if klass == "anon":
         return stabilize_anonymous(view, window)
     return stabilize_single_peaked(view, certificate, window)
+
+
+def _parse_ordering(text: str, n: int) -> tuple[int, ...]:
+    try:
+        ordering = tuple(json.loads(text))
+        valid = all(type(s) is int for s in ordering) and sorted(ordering) == list(range(1, n + 1))
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise UsageError(f"--ordering {text!r} is not a JSON list permuting the sizes 1..{n}")
+    return ordering
 
 
 def cmd_stabilize(args) -> int:
@@ -165,25 +170,19 @@ def cmd_stabilize(args) -> int:
     loaded = eio.load_game(args.game) if args.game else None
     if loaded is not None:
         view = loaded.game
-        if klass == "fhg" and not isinstance(view, SimpleFHG):
-            raise UsageError("--class fhg needs a fractional game file")
-        if klass != "fhg" and not isinstance(view, AnonymousHG):
-            raise UsageError(f"--class {klass} needs an anonymous game file")
+        if not isinstance(view, SimpleFHG if klass == "fhg" else AnonymousHG):
+            kind = "a fractional" if klass == "fhg" else "an anonymous"
+            raise UsageError(f"--class {klass} needs {kind} game file")
     elif args.n is None:
         raise UsageError("--n is required with --samples")
     else:
         learn = learn_fhg if klass == "fhg" else learn_anonymous
         view = learn(args.n, eio.stream_samples(args.samples, n=args.n))
-    if klass == "fhg":
-        window = None
-    elif loaded is not None:
-        window = _interval_for_game(view, _load_dist(args.dist, view.n), args.eps, args.lam)
-    else:
-        window = estimate_interval(view, args.lam, args.eps, args.alpha)
+    dist = _load_dist(args.dist, view.n) if loaded is not None and klass != "fhg" else None
     certificate = None
     if klass == "anon-sp":
         if args.ordering:
-            ordering = tuple(json.loads(args.ordering))
+            ordering = _parse_ordering(args.ordering, view.n)
         elif loaded is not None and loaded.sp_ordering:
             ordering = loaded.sp_ordering
         else:
@@ -196,13 +195,44 @@ def cmd_stabilize(args) -> int:
             # Sample-driven runs trust the declared ordering; a partial
             # table cannot be certified.
             certificate = SinglePeakedCertificate(ordering, ())
-    partition, trace = _stabilize(klass, view, window, certificate)
+    partition, trace = _stabilize(klass, view, dist, args.eps, args.lam, args.alpha, certificate)
     eio.save_partition(args.out, partition)
     print(f"wrote partition with {len(partition)} blocks to {args.out}")
     if args.trace:
         eio.save_json(args.trace, trace)
         print(f"wrote trace to {args.trace}")
     return EXIT_OK
+
+
+def _blocking_fields(report, estimate) -> dict:
+    """The fraction, mass, p_hat and ci text of a result row; blank when unmeasured."""
+    return {
+        "fraction": "" if report is None else f"{float(report.fraction):.10g}",
+        "mass": "" if report is None else f"{float(report.mass):.10g}",
+        "p_hat": "" if estimate is None else f"{estimate.p_hat:.10g}",
+        "ci": "" if estimate is None else f"{estimate.ci_halfwidth:.6g}",
+    }
+
+
+def _append_csv(path, columns: list[str], rows) -> None:
+    """Append ``rows`` to the CSV at ``path``, flushing each as it is written.
+
+    A new or empty file gets the header first; a file whose header differs
+    from ``columns`` is refused and left untouched.
+    """
+    header = None
+    if Path(path).exists():
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+    if header not in (None, columns):
+        raise UsageError(f"{path} has the header {header}, not {columns}")
+    with open(path, "a", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        if header is None:
+            writer.writeheader()
+        for row in rows:
+            writer.writerow(row)
+            fh.flush()
 
 
 def cmd_verify(args) -> int:
@@ -212,39 +242,29 @@ def cmd_verify(args) -> int:
     klass = args.klass or ("fhg" if isinstance(game, SimpleFHG) else "anon")
     floor = choose_epsilon_floor(game.n, args.lam, klass)
     started = time.perf_counter()
-    fraction = mass = p_hat = ci = None
+    report = estimate = None
     if args.mode == "exact":
         report = exact_blocking(game, partition, dist=dist)
-        fraction, mass = report.fraction, report.mass
-        measured = float(mass if mass is not None else fraction)
+        measured = float(report.mass)
     else:
         estimate = mc_blocking(game, partition, dist, args.mc, args.delta, seed=args.seed)
-        p_hat, ci = estimate.p_hat, estimate.ci_halfwidth
-        measured = p_hat
+        measured = estimate.p_hat
     wall_ms = round(1000 * (time.perf_counter() - started), 3)
     row = {
         "n": game.n,
         "class": klass,
         "eps_floor": f"{floor:.6g}",
-        "fraction": "" if fraction is None else f"{float(fraction):.10g}",
-        "mass": "" if mass is None else f"{float(mass):.10g}",
-        "p_hat": "" if p_hat is None else f"{p_hat:.10g}",
-        "ci": "" if ci is None else f"{ci:.6g}",
+        **_blocking_fields(report, estimate),
         "seed": args.seed,
         "wall_ms": wall_ms,
     }
     for key, val in row.items():
         print(f"{key:>10}: {val}")
     if args.csv:
-        new_file = not Path(args.csv).exists()
-        with open(args.csv, "a", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=VERIFY_COLUMNS)
-            if new_file:
-                writer.writeheader()
-            writer.writerow(row)
+        _append_csv(args.csv, list(row), [row])
     if args.out:
         payload = {"row": row}
-        if args.mode == "exact":
+        if report is not None:
             payload["report"] = report
         else:
             payload["estimate"] = estimate
@@ -271,78 +291,46 @@ EXPERIMENT_COLUMNS = [
 ]
 
 
-def _experiment_cells(config: dict) -> list[dict]:
+def _experiment_cells(config: dict) -> list[tuple]:
+    """The grid as (index, n, p, seed) cells; p is None outside fhg."""
+
     def as_list(v):
         return v if isinstance(v, list) else [v]
 
-    klass = config.get("class", "fhg")
     ns = as_list(config.get("n", 10))
-    ps = as_list(config.get("p", 0.5)) if klass == "fhg" else [None]
+    ps = as_list(config.get("p", 0.5)) if config.get("class", "fhg") == "fhg" else [None]
     seeds = as_list(config.get("seeds", [0]))
-    cells = []
-    index = 0
-    for n in ns:
-        for p in ps:
-            for seed in seeds:
-                cells.append(
-                    {
-                        "cell": index,
-                        "class": klass,
-                        "n": n,
-                        "p": p,
-                        "seed": seed,
-                        "eps": config.get("eps", 0.1),
-                        "delta": config.get("delta", 0.1),
-                        "lambda": config.get("lambda", 1.0),
-                        "alpha": config.get("alpha"),
-                        "learn": config.get("learn", False),
-                        "mc": config.get("mc", 0),
-                        "root_seed": config.get("seed", 0),
-                    }
-                )
-                index += 1
-    return cells
+    return [(index, *cell) for index, cell in enumerate(itertools.product(ns, ps, seeds))]
 
 
-def _run_cell(cell: dict) -> dict:
+def _run_cell(config: dict, cell: tuple) -> dict:
+    index, n, p, seed = cell
+    klass = config.get("class", "fhg")
+    root_seed = config.get("seed", 0)
+    delta = config.get("delta", 0.1)
+    lam, eps = config.get("lambda", 1.0), config.get("eps", 0.1)
     row = dict.fromkeys(EXPERIMENT_COLUMNS, "")
-    row.update({key: cell[key] for key in ("cell", "class", "n", "seed")}, status="ok")
-    row["p"] = "" if cell["p"] is None else cell["p"]
+    row.update({"cell": index, "class": klass, "n": n, "seed": seed, "status": "ok"})
+    row["p"] = "" if p is None else p
     try:
-        klass, n = cell["class"], cell["n"]
-        lam, eps = cell["lambda"], cell["eps"]
-        gen_seed = _sub_seed(cell["root_seed"], "gen", cell["cell"], cell["seed"])
         row["eps_floor"] = f"{choose_epsilon_floor(n, lam, klass):.6g}"
-        certificate = None
-        if klass == "fhg":
-            game = random_fhg(n, cell["p"], gen_seed)
-        elif klass == "anon":
-            game = random_anon(n, gen_seed)
-        else:
-            game, certificate = random_anon_sp(n, gen_seed)
+        game, certificate = _random_game(klass, n, p, _sub_seed(root_seed, "gen", index, seed))
         dist = UniformCoalitions(n)
-        view, window = game, None
-        if cell["learn"]:
-            sample_seed = _sub_seed(cell["root_seed"], "sample", cell["cell"], cell["seed"])
-            rng = random.Random(sample_seed)
+        view = game
+        if config.get("learn", False):
+            rng = random.Random(_sub_seed(root_seed, "sample", index, seed))
             if klass == "fhg":
-                m = fhg_sample_size(n, cell["delta"])
-                view = learn_fhg(n, iter_samples(game, dist, m, rng))
+                learn, m = learn_fhg, fhg_sample_size(n, delta)
             else:
-                m = anon_sample_size(n, cell["delta"], eps, lam)
-                view = learn_anonymous(n, iter_samples(game, dist, m, rng))
-                window = estimate_interval(view, lam, eps, cell["alpha"])
-        elif klass != "fhg":
-            window = _interval_for_game(game, dist, eps, lam)
-        partition, _ = _stabilize(klass, view, window, certificate)
+                learn, m = learn_anonymous, anon_sample_size(n, delta, eps, lam)
+            view = learn(n, iter_samples(game, dist, m, rng))
+        partition, _ = _stabilize(klass, view, dist, eps, lam, config.get("alpha"), certificate)
         report = exact_blocking(game, partition, dist=dist)
-        row["fraction"] = f"{float(report.fraction):.10g}"
-        row["mass"] = f"{float(report.mass):.10g}"
-        if cell["mc"]:
-            mc_seed = _sub_seed(cell["root_seed"], "mc", cell["cell"], cell["seed"])
-            estimate = mc_blocking(game, partition, dist, cell["mc"], cell["delta"], seed=mc_seed)
-            row["p_hat"] = f"{estimate.p_hat:.10g}"
-            row["ci"] = f"{estimate.ci_halfwidth:.6g}"
+        estimate = None
+        if config.get("mc", 0):
+            mc_seed = _sub_seed(root_seed, "mc", index, seed)
+            estimate = mc_blocking(game, partition, dist, config["mc"], delta, seed=mc_seed)
+        row.update(_blocking_fields(report, estimate))
     except Exception as exc:  # noqa: BLE001 - a failed cell is data, not an abort
         row["status"] = "failed"
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -356,27 +344,27 @@ def cmd_experiment(args) -> int:
     config = json.loads(Path(args.config).read_text())
     if args.seed is not None:
         config["seed"] = args.seed
-    cells = _experiment_cells(config)
     done: set[str] = set()
     out = Path(args.out)
     if out.exists():
         with open(out, newline="") as fh:
-            done = {line["cell"] for line in csv.DictReader(fh)}
-    pending = [c for c in cells if str(c["cell"]) not in done]
-    if jobs > 1 and pending:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_cell, pending))
-    else:
-        rows = [_run_cell(c) for c in pending]
-    new_file = not out.exists()
-    with open(out, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=EXPERIMENT_COLUMNS)
-        if new_file:
-            writer.writeheader()
-        for row in sorted(rows, key=lambda r: r["cell"]):
-            writer.writerow(row)
-    failed = sum(1 for r in rows if r["status"] != "ok")
-    print(f"{len(rows)} cells run ({failed} failed), {len(done)} skipped; CSV at {out}")
+            done = {line.get("cell") for line in csv.DictReader(fh)}
+    pending = [c for c in _experiment_cells(config) if str(c[0]) not in done]
+    run = functools.partial(_run_cell, config)
+    failed = 0
+
+    def rows():
+        # Lazy, so no cell starts before _append_csv has accepted the file;
+        # map yields in cell order, so each row lands once every earlier one has.
+        nonlocal failed
+        pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and pending else None
+        with pool or contextlib.nullcontext():
+            for row in (pool.map if pool else map)(run, pending):
+                failed += row["status"] != "ok"
+                yield row
+
+    _append_csv(out, EXPERIMENT_COLUMNS, rows())
+    print(f"{len(pending)} cells run ({failed} failed), {len(done)} skipped; CSV at {out}")
     return EXIT_OK
 
 

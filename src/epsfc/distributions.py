@@ -10,6 +10,15 @@ parallel users hand one independent stream to each worker. All randomness is
 consumed through ``randrange`` so draws are reproducible bit-for-bit for a
 fixed seed.
 
+Every distribution is one mass model: a unit mass per coalition size, plus
+an explicit family whose members all carry one family mass instead. Point
+masses and the size PMF are derived from those two in one place, and so is
+the exact blocking mass in ``verification``: the blockers of each size weigh
+its unit mass, then each blocking family member trades that for the family
+mass. Uniform and size-tilted distributions have no family; the uniform
+family distribution has unit mass 0 (its support is the family); the
+two-level adversarial one has unit mass p/lambda and family mass p.
+
 The ratio-bounded family is realized through per-size weights: tilting only
 by size keeps the max/min point-mass ratio exact and equal to
 max(g)/min(g), and sampling O(n), where a general table over 2^n coalitions
@@ -74,7 +83,52 @@ def _uniform_subset_mask(rng, n: int, s: int) -> int:
     return mask
 
 
-class UniformCoalitions:
+class _MassModel:
+    """Point masses from a per-size unit mass plus an explicit family.
+
+    A coalition outside ``family`` has mass ``unit_mass_of_size(|S|)``, each
+    member of ``family`` has mass ``family_mass``, and the empty set and
+    coalitions reaching past agent n - 1 have none. Subclasses set ``n`` and
+    define ``unit_mass_of_size``; those without a family keep the empty one.
+    """
+
+    __slots__ = ()
+    family: tuple[Coalition, ...] = ()
+    _family_masks: frozenset[int] = frozenset()
+
+    def point_mass(self, coalition: Coalition) -> Fraction:
+        if coalition.size == 0 or coalition.mask >> self.n:
+            return Fraction(0)
+        if coalition.mask in self._family_masks:
+            return self.family_mass
+        return self.unit_mass_of_size(coalition.size)
+
+    def _set_family(self, coalitions: Iterable, n: int | None, name: str) -> None:
+        """Store a duplicate-free list of non-empty coalitions inside [0, n)
+        as the family; errors call it ``name``."""
+        family = tuple(
+            c if isinstance(c, Coalition) else Coalition.from_members(c) for c in coalitions
+        )
+        masks = [c.mask for c in family]
+        if 0 in masks:
+            raise ValueError(f"{name} coalitions must be non-empty")
+        if len(set(masks)) != len(masks):
+            raise ValueError(f"{name} contains duplicate coalitions")
+        if n is not None and any(m >> n for m in masks):
+            raise ValueError(f"{name} references agents outside [0, {n})")
+        self.family = family
+        self._family_masks = frozenset(masks)
+
+    def size_pmf(self) -> tuple[Fraction, ...]:
+        """Mass of each size, indexed 1..n at positions 1..n (index 0 unused)."""
+        pmf = [Fraction(0)]
+        pmf += (comb(self.n, s) * self.unit_mass_of_size(s) for s in range(1, self.n + 1))
+        for c in self.family:
+            pmf[c.size] += self.family_mass - self.unit_mass_of_size(c.size)
+        return tuple(pmf)
+
+
+class UniformCoalitions(_MassModel):
     """Uniform distribution over all 2^n - 1 non-empty coalitions."""
 
     __slots__ = ("n", "total")
@@ -88,22 +142,11 @@ class UniformCoalitions:
     def sample(self, rng) -> Coalition:
         return Coalition(rng.randrange(1, 1 << self.n))
 
-    def point_mass(self, coalition: Coalition) -> Fraction:
-        if coalition.size == 0 or coalition.mask >> self.n:
-            return Fraction(0)
-        return Fraction(1, self.total)
-
     def unit_mass_of_size(self, s: int) -> Fraction:
         return Fraction(1, self.total)
 
     def lambda_bound(self) -> Fraction:
         return Fraction(1)
-
-    def size_pmf(self) -> tuple[Fraction, ...]:
-        """Mass of each size, indexed 1..n at positions 1..n (index 0 unused)."""
-        return (Fraction(0),) + tuple(
-            Fraction(comb(self.n, s), self.total) for s in range(1, self.n + 1)
-        )
 
     def spec(self) -> dict:
         return {"kind": "uniform"}
@@ -112,7 +155,7 @@ class UniformCoalitions:
         return f"UniformCoalitions(n={self.n})"
 
 
-class SizeTilted:
+class SizeTilted(_MassModel):
     """P(S) proportional to a strictly positive per-size weight g(|S|).
 
     A size s is drawn with probability g(s)*C(n, s)/Z, then a uniform
@@ -147,21 +190,11 @@ class SizeTilted:
         s = bisect_right(self._cum, k) + 1
         return Coalition(_uniform_subset_mask(rng, self.n, s))
 
-    def point_mass(self, coalition: Coalition) -> Fraction:
-        if coalition.size == 0 or coalition.mask >> self.n:
-            return Fraction(0)
-        return self.g[coalition.size - 1] / self._z
-
     def unit_mass_of_size(self, s: int) -> Fraction:
         return self.g[s - 1] / self._z
 
     def lambda_bound(self) -> Fraction:
         return max(self.g) / min(self.g)
-
-    def size_pmf(self) -> tuple[Fraction, ...]:
-        return (Fraction(0),) + tuple(
-            self.g[s - 1] * comb(self.n, s) / self._z for s in range(1, self.n + 1)
-        )
 
     def spec(self) -> dict:
         return {"kind": "size_tilted", "g": [_spec_number(w) for w in self.g]}
@@ -170,38 +203,30 @@ class SizeTilted:
         return f"SizeTilted(n={self.n}, lambda={float(self.lambda_bound()):g})"
 
 
-class FamilyUniform:
-    """Uniform distribution over an explicit list of coalitions.
+class FamilyUniform(_MassModel):
+    """Uniform distribution over an explicit list of coalitions, its support.
 
     Coalitions outside the support have zero mass, so no finite point-mass
     ratio bounds this distribution; ``lambda_bound`` refuses accordingly.
     """
 
-    __slots__ = ("n", "support", "_mask_set")
+    __slots__ = ("n", "family", "family_mass", "_family_masks")
 
     def __init__(self, support: Iterable, n: int | None = None):
-        coalitions = tuple(
-            c if isinstance(c, Coalition) else Coalition.from_members(c) for c in support
-        )
-        if not coalitions:
+        self._set_family(support, n, "support")
+        if not self.family:
             raise ValueError("support must be non-empty")
-        if any(c.size == 0 for c in coalitions):
-            raise ValueError("support coalitions must be non-empty")
-        masks = [c.mask for c in coalitions]
-        if len(set(masks)) != len(masks):
-            raise ValueError("support contains duplicate coalitions")
-        if n is not None and any(m >> n for m in masks):
-            raise ValueError(f"support references agents outside [0, {n})")
-        self.support = coalitions
-        self._mask_set = frozenset(masks)
-        self.n = n if n is not None else max(m.bit_length() for m in masks)
+        self.family_mass = Fraction(1, len(self.family))
+        self.n = n if n is not None else max(m.bit_length() for m in self._family_masks)
+
+    @property
+    def support(self) -> tuple[Coalition, ...]:
+        return self.family
 
     def sample(self, rng) -> Coalition:
-        return self.support[rng.randrange(len(self.support))]
+        return self.family[rng.randrange(len(self.family))]
 
-    def point_mass(self, coalition: Coalition) -> Fraction:
-        if coalition.mask in self._mask_set:
-            return Fraction(1, len(self.support))
+    def unit_mass_of_size(self, s: int) -> Fraction:
         return Fraction(0)
 
     def lambda_bound(self) -> Fraction:
@@ -209,13 +234,6 @@ class FamilyUniform:
             "a family-uniform distribution puts zero mass off its support; "
             "no finite point-mass ratio bounds it"
         )
-
-    def size_pmf(self) -> tuple[Fraction, ...]:
-        counts = [0] * (self.n + 1)
-        for c in self.support:
-            counts[c.size] += 1
-        k = len(self.support)
-        return tuple(Fraction(c, k) for c in counts)
 
     def spec(self) -> dict:
         return {
@@ -227,7 +245,7 @@ class FamilyUniform:
         return f"FamilyUniform(n={self.n}, support_size={len(self.support)})"
 
 
-class AdversarialBounded:
+class AdversarialBounded(_MassModel):
     """Two-level distribution: mass p on an explicit family, p/lambda off it.
 
     p solves |F|*p + (2^n - 1 - |F|)*p/lambda = 1 exactly, i.e.
@@ -237,30 +255,17 @@ class AdversarialBounded:
     family or its complement by exact mass, then a uniform member within.
     """
 
-    __slots__ = ("n", "family", "lam", "p", "_mask_set", "_branch_num", "_branch_den")
+    __slots__ = ("n", "family", "lam", "p", "_family_masks", "_branch_num", "_branch_den")
 
     def __init__(self, family: Iterable, n: int, lam):
         lam = _as_fraction(lam)
         if lam < 1:
             raise ValueError("ratio bound must be >= 1")
-        coalitions = tuple(
-            c if isinstance(c, Coalition) else Coalition.from_members(c) for c in family
-        )
-        if any(c.size == 0 for c in coalitions):
-            raise ValueError("family coalitions must be non-empty")
-        full = (1 << n) - 1
-        if any(c.mask & ~full for c in coalitions):
-            raise ValueError(f"family references agents outside [0, {n})")
-        masks = [c.mask for c in coalitions]
-        if len(set(masks)) != len(masks):
-            raise ValueError("family contains duplicate coalitions")
+        self._set_family(family, n, "family")
         self.n = n
-        self.family = coalitions
         self.lam = lam
-        total = full
-        f = len(coalitions)
-        self.p = lam / (f * (lam - 1) + total)
-        self._mask_set = frozenset(masks)
+        f = len(self.family)
+        self.p = lam / (f * (lam - 1) + (1 << n) - 1)
         family_mass = f * self.p
         self._branch_num = family_mass.numerator
         self._branch_den = family_mass.denominator
@@ -270,14 +275,14 @@ class AdversarialBounded:
             return self.family[rng.randrange(len(self.family))]
         while True:
             mask = rng.randrange(1, 1 << self.n)
-            if mask not in self._mask_set:
+            if mask not in self._family_masks:
                 return Coalition(mask)
 
-    def point_mass(self, coalition: Coalition) -> Fraction:
-        if coalition.size == 0 or coalition.mask >> self.n:
-            return Fraction(0)
-        if coalition.mask in self._mask_set:
-            return self.p
+    @property
+    def family_mass(self) -> Fraction:
+        return self.p
+
+    def unit_mass_of_size(self, s: int) -> Fraction:
         return self.p / self.lam
 
     def lambda_bound(self) -> Fraction:
@@ -285,17 +290,6 @@ class AdversarialBounded:
         if f == 0 or f == (1 << self.n) - 1:
             return Fraction(1)
         return self.lam
-
-    def size_pmf(self) -> tuple[Fraction, ...]:
-        in_family = [0] * (self.n + 1)
-        for c in self.family:
-            in_family[c.size] += 1
-        pmf = [Fraction(0)]
-        for s in range(1, self.n + 1):
-            pmf.append(
-                in_family[s] * self.p + (comb(self.n, s) - in_family[s]) * self.p / self.lam
-            )
-        return tuple(pmf)
 
     def spec(self) -> dict:
         return {

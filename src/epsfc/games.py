@@ -389,6 +389,5 @@ def check_single_peaked(game: AnonymousHG, ordering: Sequence[int] | None = None
                     return SinglePeakedViolation(i, pos, pos + 1)
             elif seq[pos] < seq[pos - 1]:
                 fell = True
-        first_max = min(p for p in range(n) if seq[p] == max(seq))
-        peaks.append(order[first_max])
+        peaks.append(order[seq.index(max(seq))])
     return SinglePeakedCertificate(order, tuple(peaks))

@@ -82,15 +82,8 @@ def random_anon_sp(n: int, seed) -> tuple[AnonymousHG, SinglePeakedCertificate]:
         values = sorted((rng.random() for _ in range(n)), reverse=True)
         top, rest = values[0], values[1:]
         rng.shuffle(rest)
-        left = sorted(rest[: peak - 1], reverse=True)  # sizes peak-1 .. 1
-        right = sorted(rest[peak - 1 :], reverse=True)  # sizes peak+1 .. n
-        row = [0.0] * n
-        row[peak - 1] = top
-        for d, v in enumerate(left):
-            row[peak - 2 - d] = v
-        for d, v in enumerate(right):
-            row[peak + d] = v
-        table.append(row)
+        # sizes 1 .. peak-1 rise to the peak, sizes peak+1 .. n fall from it
+        table.append(sorted(rest[: peak - 1]) + [top] + sorted(rest[peak - 1 :], reverse=True))
     game = AnonymousHG(table)
     certificate = check_single_peaked(game)
     if not isinstance(certificate, SinglePeakedCertificate):

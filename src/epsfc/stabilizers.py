@@ -254,6 +254,9 @@ def stabilize_single_peaked(
     sizes = _window(view, interval)
     n = view.n
     ordered_sizes = tuple(s for s in certificate.ordering if s in sizes)
+    missing = [s for s in sizes if s not in ordered_sizes]
+    if missing:
+        raise ValueError(f"ordering {certificate.ordering} lacks the window sizes {missing}")
     position = {s: h for h, s in enumerate(ordered_sizes)}
     peak_pos = [position[_restricted_peak(view, i, sizes)] for i in range(n)]
     h_star = sorted(peak_pos)[n // 2] if n else len(ordered_sizes) - 1

@@ -22,12 +22,6 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import Callable
 
-from .distributions import (
-    AdversarialBounded,
-    FamilyUniform,
-    SizeTilted,
-    UniformCoalitions,
-)
 from .errors import EmptyIntervalError
 from .games import (
     AnonymousHG,
@@ -263,26 +257,24 @@ def exact_blocking(
 def exact_blocking_mass(game, partition: Partition, dist, _counts=None) -> Fraction:
     """Exact probability that a coalition drawn from ``dist`` core-blocks.
 
-    Size-symmetric distributions reuse the per-size blocking census; an
-    explicit-support distribution is integrated by walking its support, which
-    needs no enumeration guard; the two-level family distribution combines
-    both.
+    ``dist`` is a mass model (see ``distributions``): every blocker weighs
+    the unit mass of its size, then each blocking family member trades that
+    for the family mass. The census is skipped when every unit mass is 0, so
+    a pure family needs no enumeration guard.
     """
-    if isinstance(dist, FamilyUniform):
-        pred = blocker_predicate(game, partition)
-        hits = sum(1 for c in dist.support if pred(c.mask))
-        return Fraction(hits, len(dist.support))
-    if not isinstance(dist, (UniformCoalitions, SizeTilted, AdversarialBounded)):
+    if not hasattr(dist, "unit_mass_of_size"):
         raise TypeError(f"cannot compute blocking mass under {type(dist).__name__}")
-    counts = _blocking_counts(game, partition, 0)[0] if _counts is None else _counts
-    if isinstance(dist, AdversarialBounded):
+    unit = [Fraction(0)] + [dist.unit_mass_of_size(s) for s in range(1, game.n + 1)]
+    mass = Fraction(0)
+    if any(unit):
+        counts = _blocking_counts(game, partition, 0)[0] if _counts is None else _counts
+        mass = sum((counts[s] * unit[s] for s in range(1, game.n + 1)), mass)
+    if dist.family:
         pred = blocker_predicate(game, partition)
-        family_hits = sum(1 for c in dist.family if pred(c.mask))
-        return family_hits * dist.p + (sum(counts) - family_hits) * dist.p / dist.lam
-    return sum(
-        (counts[s] * dist.unit_mass_of_size(s) for s in range(1, game.n + 1)),
-        Fraction(0),
-    )
+        for c in dist.family:
+            if pred(c.mask):
+                mass += dist.family_mass - unit[c.size]
+    return mass
 
 
 def mc_blocking(

@@ -2,6 +2,8 @@ import csv
 import json
 import os
 
+import pytest
+
 from epsfc import cli
 from epsfc import io as eio
 from epsfc.cli import main
@@ -181,6 +183,34 @@ class TestStabilize:
         assert eio.load_partition(out, 9).n == 9
 
 
+    @pytest.mark.parametrize("ordering", ["[1]", "3", "[1, 2, 2, 4, 5, 6, 7, 8]", "[1, 2"])
+    def test_ordering_not_a_permutation_is_a_usage_error(self, tmp_path, capsys, ordering):
+        game = tmp_path / "g.json"
+        samples = tmp_path / "s.jsonl"
+        out = tmp_path / "p.json"
+        run("gen", "--kind", "anon-sp-random", "--n", 8, "--seed", 2, "--out", game)
+        run("sample", "--game", game, "--m", 2000, "--seed", 1, "--out", samples)
+        capsys.readouterr()
+        for source in (["--samples", samples, "--n", 8], ["--game", game]):
+            code = run("stabilize", "--class", "anon-sp", *source, "--eps", 0.5,
+                       "--ordering", ordering, "--out", out)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"--ordering {ordering!r}" in err and "1..8" in err
+        assert not out.exists()
+
+    def test_ordering_permutation_accepted(self, tmp_path):
+        game = tmp_path / "g.json"
+        samples = tmp_path / "s.jsonl"
+        out = tmp_path / "p.json"
+        run("gen", "--kind", "anon-sp-random", "--n", 8, "--seed", 2, "--out", game)
+        run("sample", "--game", game, "--m", 2000, "--seed", 1, "--out", samples)
+        ordering = json.dumps(list(range(1, 9)))
+        assert run("stabilize", "--class", "anon-sp", "--samples", samples, "--n", 8,
+                   "--eps", 0.5, "--ordering", ordering, "--out", out) == 0
+        assert eio.load_partition(out, 8).n == 8
+
+
 class TestVerify:
     def _setup(self, tmp_path, n=10, p=0.4):
         game = tmp_path / "g.json"
@@ -233,6 +263,28 @@ class TestVerify:
         monkeypatch.setenv("EPSFC_MAX_N", "8")
         assert run("verify", "--game", game, "--partition", part) == 3
 
+    def test_csv_with_another_header_refused_untouched(self, tmp_path, capsys):
+        game, part = self._setup(tmp_path, n=6)
+        grid = tmp_path / "grid.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"class": "fhg", "n": 6, "p": 0.5, "mc": 0}))
+        assert run("experiment", "--config", cfg, "--out", grid) == 0
+        before = grid.read_bytes()
+        capsys.readouterr()
+        assert run("verify", "--game", game, "--partition", part, "--csv", grid) == 2
+        err = capsys.readouterr().err
+        assert str(grid) in err and "'cell'" in err and "'wall_ms'" in err
+        assert grid.read_bytes() == before
+
+    def test_csv_appends_under_its_header(self, tmp_path):
+        game, part = self._setup(tmp_path, n=6)
+        csv_path = tmp_path / "rows.csv"
+        for seed in (1, 2):
+            assert run("verify", "--game", game, "--partition", part, "--seed", seed,
+                       "--csv", csv_path) == 0
+        rows = list(csv.DictReader(csv_path.open()))
+        assert [r["seed"] for r in rows] == ["1", "2"]
+
     def test_violation_exit_code(self, tmp_path):
         # a mutual pair against singletons blocks 1/3 > eps
         game = tmp_path / "g.json"
@@ -277,6 +329,48 @@ class TestExperiment:
         fresh = tmp_path / "fresh.csv"
         run("experiment", "--config", cfg, "--out", fresh)
         assert fresh.read_bytes() == first
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_interrupted_grid_keeps_finished_rows_and_resumes(self, tmp_path, monkeypatch, k):
+        cfg = self._config(tmp_path, n=[6], p=[0.3, 0.7], seeds=[0, 1], mc=100)
+        fresh = tmp_path / "fresh.csv"
+        assert run("experiment", "--config", cfg, "--out", fresh) == 0
+        run_cell = cli._run_cell
+        out = tmp_path / "grid.csv"
+        on_disk = []
+
+        def interrupted(config, cell):
+            if cell[0] == k:
+                # every finished row is already on disk when the next cell starts
+                on_disk.append(len(list(csv.DictReader(out.open()))))
+                raise KeyboardInterrupt
+            return run_cell(config, cell)
+
+        monkeypatch.setattr(cli, "_run_cell", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run("experiment", "--config", cfg, "--out", out)
+        rows = list(csv.DictReader(out.open()))
+        assert on_disk == [k] and [int(r["cell"]) for r in rows] == list(range(k))
+        ran = []
+
+        def recorded(config, cell):
+            ran.append(cell[0])
+            return run_cell(config, cell)
+
+        monkeypatch.setattr(cli, "_run_cell", recorded)
+        assert run("experiment", "--config", cfg, "--out", out) == 0
+        assert ran == list(range(k, 4))
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_csv_with_another_header_refused_before_any_cell(self, tmp_path, monkeypatch):
+        out = tmp_path / "grid.csv"
+        out.write_text("n,class,eps_floor\r\n6,fhg,1\r\n")
+        before = out.read_bytes()
+        monkeypatch.setattr(cli, "_run_cell", lambda config, cell: pytest.fail("a cell ran"))
+        cfg = self._config(tmp_path, n=[6], p=[0.5], seeds=[0], mc=0)
+        for jobs in (1, 2):
+            assert run("experiment", "--config", cfg, "--out", out, "--jobs", jobs) == 2
+        assert out.read_bytes() == before
 
     def test_failed_cell_recorded_not_fatal(self, tmp_path):
         # n beyond the guard fails the exact census inside the cell

@@ -395,6 +395,13 @@ class TestStabilizeSinglePeaked:
             else:
                 assert i in trace.peaked_after
 
+    def test_ordering_missing_window_sizes_names_them(self):
+        g, _ = random_anon_sp(8, 3)
+        cert = SinglePeakedCertificate((1, 2, 4), ())
+        missing = r"ordering \(1, 2, 4\) lacks the window sizes \[3, 5\]"
+        with pytest.raises(ValueError, match=missing):
+            stabilize_single_peaked(g, cert, [2, 3, 4, 5])
+
 
 class TestStarvation:
     def test_matching_pool_exhaustion_recorded(self):

@@ -41,6 +41,7 @@ from epsfc import (
 from epsfc.verification import WITNESS_CAP, blocker_predicate, partition_from_assignment
 from oracles import (
     anon_blocking_count_closed_form,
+    brute_point_masses,
     naive_anon_blocking_count,
     naive_fhg_blocking_count,
 )
@@ -178,6 +179,72 @@ class TestBlockingMass:
         )
         assert exact_blocking_mass(g, p, d) == brute
 
+
+
+@st.composite
+def mass_cases(draw):
+    """A game of either class at n <= 7, a partition, and one of the four
+    distribution kinds over the same agents."""
+    n = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32))
+    if draw(st.booleans()):
+        game = random_fhg(n, draw(st.sampled_from([0.2, 0.5, 0.8])), seed)
+    else:
+        game = random_anon(n, seed)
+    partition = random_partition(n, seed + 1)
+    kind = draw(st.sampled_from(["uniform", "size_tilted", "family", "adversarial"]))
+    min_size = 1 if kind == "family" else 0
+    masks = st.sets(st.integers(1, (1 << n) - 1), min_size=min_size, max_size=12)
+    if kind == "uniform":
+        dist = UniformCoalitions(n)
+    elif kind == "size_tilted":
+        dist = SizeTilted(n, draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
+    elif kind == "family":
+        dist = family_uniform([Coalition(m) for m in draw(masks)], n=n)
+    else:
+        lam = draw(st.fractions(1, 9))
+        dist = adversarial_bounded([Coalition(m) for m in draw(masks)], n, lam)
+    return game, partition, dist
+
+
+class TestMassModel:
+    @settings(max_examples=300, deadline=None)
+    @given(mass_cases())
+    def test_blocking_mass_is_the_point_mass_of_the_blockers(self, case):
+        game, partition, dist = case
+        pred = blocker_predicate(game, partition)
+        masses = brute_point_masses(dist, game.n)
+        brute = sum((mass for m, mass in masses.items() if pred(m)), Fraction(0))
+        mass = exact_blocking_mass(game, partition, dist)
+        assert isinstance(mass, Fraction) and mass == brute
+        assert exact_blocking(game, partition, dist=dist).mass == brute
+
+    @settings(max_examples=300, deadline=None)
+    @given(mass_cases())
+    def test_size_pmf_sums_the_point_masses(self, case):
+        game, _, dist = case
+        by_size = [Fraction(0)] * (game.n + 1)
+        for m, mass in brute_point_masses(dist, game.n).items():
+            by_size[m.bit_count()] += mass
+        assert dist.size_pmf() == tuple(by_size)
+        assert sum(by_size) == 1
+
+    def test_family_on_a_large_game_needs_no_census(self):
+        game = random_fhg(30, 0.5, 4)
+        partition = random_partition(30, 5)
+        support = [Coalition(m) for m in (0b11, 0b111 << 20, (1 << 30) - 1, 1 << 29)]
+        pred = blocker_predicate(game, partition)
+        hits = sum(1 for c in support if pred(c.mask))
+        dist = family_uniform(support, n=30)
+        assert exact_blocking_mass(game, partition, dist) == Fraction(hits, len(support))
+        with pytest.raises(GuardError):
+            exact_blocking_mass(game, partition, adversarial_bounded(support, 30, 2))
+
+    def test_foreign_distribution_refused(self):
+        game = random_anon(4, 1)
+        foreign = SimpleNamespace(n=4, sample=lambda rng: Coalition(1), point_mass=lambda c: 0)
+        with pytest.raises(TypeError, match="SimpleNamespace"):
+            exact_blocking_mass(game, Partition.singletons(4), foreign)
 
 class TestMcBlocking:
     def test_zero_blockers_always_zero(self):
