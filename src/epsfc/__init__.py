@@ -46,7 +46,6 @@ from .games import (
     check_single_peaked,
     is_individually_rational,
     validate_partition,
-    value,
 )
 from .instances import (
     EmptyCoreSearch,

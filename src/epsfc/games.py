@@ -166,9 +166,6 @@ class Partition:
     def block_of(self, agent: int) -> Coalition:
         return self.blocks[self.assignment[agent]]
 
-    def block_index(self, agent: int) -> int:
-        return self.assignment[agent]
-
     def size_of(self, agent: int) -> int:
         return self.blocks[self.assignment[agent]].size
 
@@ -305,12 +302,6 @@ class AnonymousHG:
         s, rows = coalition.size - 1, self._rows
         return {i: rows[i][s] for i in bits_of(coalition.mask)}
 
-    def peak(self, i: int) -> int:
-        """The smallest size attaining agent i's maximum value."""
-        row = self._rows[i]
-        best = max(row)
-        return row.index(best) + 1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, AnonymousHG) and self._rows == other._rows
 
@@ -319,11 +310,6 @@ class AnonymousHG:
 
     def __repr__(self) -> str:
         return f"AnonymousHG(n={self.n})"
-
-
-def value(game, i: int, coalition: Coalition):
-    """Agent i's valuation of a coalition she belongs to."""
-    return game.value(i, coalition)
 
 
 def blocks(game, coalition: Coalition, partition: Partition) -> bool:

@@ -1,5 +1,8 @@
 """Exact and statistical verification of core-blocking behaviour.
 
+Each game class has one census, chosen by ``_census`` (any other object is a
+``TypeError``), that answers ``blocks(mask)``, ``exists()`` and ``count``; the
+last also counts the blockers disjoint from an ``avoid`` set in the same pass.
 Fractional games are censused bit-parallel: the coalition masks are cut into
 blocks of 2^12, each agent's blocking test for a whole block is one Python int
 of side-by-side lane counters, and a block's blockers are the lanes that pass
@@ -77,126 +80,148 @@ class McEstimate:
     ci_halfwidth: float
 
 
-def _fhg_partition_context(game: SimpleFHG, partition: Partition):
-    """Per-agent (neighbors in current block, current block size)."""
-    num = []
-    den = []
-    for i in range(game.n):
-        block = partition.block_of(i)
-        num.append((game.adj_masks[i] & block.mask).bit_count())
-        den.append(block.size)
-    return num, den
-
-
-def _anon_improve_masks(game: AnonymousHG, partition: Partition) -> list[int]:
-    """improve[s] = bitmask of agents strictly better off at size s."""
-    n = game.n
-    improve = [0] * (n + 1)
-    for i in range(n):
-        current = game.value_of_size(i, partition.size_of(i))
-        for s in range(1, n + 1):
-            if game.value_of_size(i, s) > current:
-                improve[s] |= 1 << i
-    return improve
-
-
-def blocker_predicate(game, partition: Partition) -> Callable[[int], bool]:
-    """Return an exact mask -> bool test of the core-blocking condition."""
-    if isinstance(game, SimpleFHG):
-        adj = game.adj_masks
-        num, den = _fhg_partition_context(game, partition)
-
-        def pred(mask: int) -> bool:
-            size = mask.bit_count()
-            m = mask
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                if (adj[i] & mask).bit_count() * den[i] <= num[i] * size:
-                    return False
-                m ^= low
-            return True
-
-        return pred
-    improve = _anon_improve_masks(game, partition)
-
-    def pred(mask: int) -> bool:
-        return mask & ~improve[mask.bit_count()] == 0
-
-    return pred
-
-
 # The FHG census packs the coalitions of one block into one Python int per
 # agent; blocks of 2^12 lanes keep each int a few KB, so memory stays flat.
 _BLOCK_BITS = 12
 
 
-def _fhg_census(game: SimpleFHG, partition: Partition, allowed: int, witness_cap: int):
-    """Per-size blocker counts over the non-empty coalitions inside ``allowed``,
-    and the first ``witness_cap`` blockers in ascending mask order.
+class _FhgCensus:
+    """The blocking questions for one partition of a fractional game."""
 
-    Bit-parallel: the m allowed agents get positions 0..m-1; the low b
-    positions vary across the 2^b lanes of a block, the others are fixed by
-    the block index. Every lane is w bits wide, and for agent i lane S holds
+    __slots__ = ("n", "adj", "num", "den")
 
-        x_i(S) = K + T - 1 + den_i*|N_i & S| - num_i*|S| - K*[i in S]
+    def __init__(self, game: SimpleFHG, partition: Partition):
+        self.n = game.n
+        self.adj = adj = game.adj_masks
+        own = [partition.block_of(i) for i in range(game.n)]
+        self.num = [(adj[i] & block.mask).bit_count() for i, block in enumerate(own)]
+        self.den = [block.size for block in own]
 
-    with T = 2^(w-1) and K = n^2 + 1. Outside S the K term keeps x_i(S) >= T;
-    inside S, x_i(S) >= T iff den_i*|N_i & S| > num_i*|S|, i's blocking test.
-    So S blocks iff the top bit of its lane is set for every agent, and one
-    AND per agent tests a whole block.
-    """
-    n = game.n
-    adj = game.adj_masks
-    num, den = _fhg_partition_context(game, partition)
-    agents = list(bits_of(allowed))
-    m = len(agents)
-    b = min(m, _BLOCK_BITS)
-    # Invariant: 0 <= x_i(S) < 2^w for every S, because den_i*|N_i & S| and
-    # num_i*|S| are at most n(n-1) < K and T > 2n^2 + 1 = 2K - 1. Adding c
-    # times ``ones`` (c of either sign) therefore turns each lane's value into
-    # another in-range value, and no carry or borrow crosses a lane.
-    w = (2 * n * n + 1).bit_length() + 1
-    top = 1 << (w - 1)
-    big = n * n + 1
-    ones = [1]  # ones[k]: a 1 in each of 2^k lanes
-    by_size = [top]  # by_size[s]: top bits of the lanes with s low members
-    for k in range(b):
-        shift = w << k
-        ones.append(ones[k] | ones[k] << shift)
-        by_size = [x | y << shift for x, y in zip(by_size + [0], [0] + by_size)]
-    tops = ones[b] << (w - 1)
-    # neighbors by position, and each agent's lanes over the low positions
-    nbr = [sum(1 << p for p, a in enumerate(agents) if adj[i] >> a & 1) for i in agents]
-    base = []
-    for k, i in enumerate(agents):
-        v = big + top - 1
-        for j in range(b):
-            c = den[i] * (nbr[k] >> j & 1) - num[i] - big * (j == k)
-            v |= (v + c * ones[j]) << (w << j)
-        base.append(v)
-    counts = [0] * (n + 1)
-    witnesses = []
-    for h in range(1 << (m - b)):
-        high = h << b
-        hsize = h.bit_count()
-        acc = tops ^ top if h == 0 else tops  # lane 0 of block 0 is the empty coalition
-        # agents placed by the block index: members first, then the varying ones
-        for k in [*bits_of(high), *range(b)]:
-            i = agents[k]
-            c = den[i] * (nbr[k] & high).bit_count() - num[i] * hsize - big * (high >> k & 1)
-            acc &= base[k] + c * ones[b] if c else base[k]
-            if not acc:
-                break
-        else:
-            for s in range(b + 1):
-                counts[hsize + s] += (acc & by_size[s]).bit_count()
-            while acc and len(witnesses) < witness_cap:
-                low = acc & -acc
-                lane = low.bit_length() // w - 1
-                witnesses.append(mask_of(agents[k] for k in bits_of(high | lane)))
-                acc ^= low
-    return counts, witnesses
+    def blocks(self, mask: int) -> bool:
+        adj, num, den = self.adj, self.num, self.den
+        size = mask.bit_count()
+        m = mask
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            if (adj[i] & mask).bit_count() * den[i] <= num[i] * size:
+                return False
+            m ^= low
+        return True
+
+    def exists(self) -> bool:
+        check_subset_guard(self.n)
+        return any(map(self.blocks, range(1, 1 << self.n)))
+
+    def count(self, witness_cap: int = 0, avoid: int = 0):
+        """Per-size blocker counts over the non-empty coalitions, the first
+        ``witness_cap`` blockers in ascending mask order, and the number of
+        blockers disjoint from ``avoid``.
+
+        Bit-parallel: agents 0..b-1 vary across the 2^b lanes of a block, the
+        others are fixed by the block index. Every lane is w bits wide, and for
+        agent i lane S holds
+
+            x_i(S) = K + T - 1 + den_i*|N_i & S| - num_i*|S| - K*[i in S]
+
+        with T = 2^(w-1) and K = n^2 + 1. Outside S the K term keeps x_i(S) >= T;
+        inside S, x_i(S) >= T iff den_i*|N_i & S| > num_i*|S|, i's blocking test.
+        So S blocks iff the top bit of its lane is set for every agent, and one
+        AND per agent tests a whole block.
+        """
+        n, adj, num, den = self.n, self.adj, self.num, self.den
+        check_subset_guard(n)
+        b = min(n, _BLOCK_BITS)
+        # Invariant: 0 <= x_i(S) < 2^w for every S, because den_i*|N_i & S| and
+        # num_i*|S| are at most n(n-1) < K and T > 2n^2 + 1 = 2K - 1. Adding c
+        # times ``ones`` (c of either sign) therefore turns each lane's value into
+        # another in-range value, and no carry or borrow crosses a lane.
+        w = (2 * n * n + 1).bit_length() + 1
+        top = 1 << (w - 1)
+        big = n * n + 1
+        ones = [1]  # ones[k]: a 1 in each of 2^k lanes
+        by_size = [top]  # by_size[s]: top bits of the lanes with s low members
+        free = top  # top bits of the lanes whose low members avoid ``avoid``
+        for k in range(b):
+            shift = w << k
+            ones.append(ones[k] | ones[k] << shift)
+            by_size = [x | y << shift for x, y in zip(by_size + [0], [0] + by_size)]
+            if not avoid >> k & 1:
+                free |= free << shift
+        tops = ones[b] << (w - 1)
+        base = []  # each agent's lanes over the low agents
+        for i in range(n):
+            v = big + top - 1
+            for j in range(b):
+                c = den[i] * (adj[i] >> j & 1) - num[i] - big * (j == i)
+                v |= (v + c * ones[j]) << (w << j)
+            base.append(v)
+        counts = [0] * (n + 1)
+        witnesses = []
+        avoiding = 0
+        for h in range(1 << (n - b)):
+            high = h << b
+            hsize = h.bit_count()
+            acc = tops ^ top if h == 0 else tops  # lane 0 of block 0 is the empty coalition
+            # agents placed by the block index: members first, then the varying ones
+            for i in [*bits_of(high), *range(b)]:
+                c = den[i] * (adj[i] & high).bit_count() - num[i] * hsize - big * (high >> i & 1)
+                acc &= base[i] + c * ones[b] if c else base[i]
+                if not acc:
+                    break
+            else:
+                for s in range(b + 1):
+                    counts[hsize + s] += (acc & by_size[s]).bit_count()
+                if not high & avoid:
+                    avoiding += (acc & free).bit_count()
+                while acc and len(witnesses) < witness_cap:
+                    low = acc & -acc
+                    witnesses.append(high | low.bit_length() // w - 1)
+                    acc ^= low
+        return counts, witnesses, avoiding
+
+
+class _AnonCensus:
+    """The blocking questions for one partition of an anonymous game, in closed
+    form from improve[s], the bitmask of agents strictly better off at size s."""
+
+    __slots__ = ("n", "improve")
+
+    def __init__(self, game: AnonymousHG, partition: Partition):
+        self.n = n = game.n
+        self.improve = improve = [0] * (n + 1)
+        for i in range(n):
+            current = game.value_of_size(i, partition.size_of(i))
+            for s in range(1, n + 1):
+                if game.value_of_size(i, s) > current:
+                    improve[s] |= 1 << i
+
+    def blocks(self, mask: int) -> bool:
+        return mask & ~self.improve[mask.bit_count()] == 0
+
+    def exists(self) -> bool:
+        return any(self.improve[s].bit_count() >= s for s in range(1, self.n + 1))
+
+    def count(self, witness_cap: int = 0, avoid: int = 0):
+        """As ``_FhgCensus.count``; witnesses by size, then lexicographic."""
+        improve = self.improve
+        witnesses = []
+        for s in range(1, self.n + 1):
+            witnesses += _first_meeting(improve[s], -1, s, witness_cap - len(witnesses))
+        return _anon_counts(improve), witnesses, sum(_anon_counts(improve, avoid))
+
+
+def _census(game, partition: Partition):
+    if isinstance(game, SimpleFHG):
+        return _FhgCensus(game, partition)
+    if isinstance(game, AnonymousHG):
+        return _AnonCensus(game, partition)
+    raise TypeError(f"cannot enumerate blockers of {type(game).__name__}")
+
+
+def blocker_predicate(game, partition: Partition) -> Callable[[int], bool]:
+    """Return an exact mask -> bool test of the core-blocking condition."""
+    return _census(game, partition).blocks
 
 
 def _anon_counts(improve: list[int], avoid: int = 0) -> list[int]:
@@ -214,19 +239,6 @@ def _first_meeting(pool: int, hit: int, s: int, limit: int) -> list[int]:
     return [mask_of(c) for c in islice(combinations(order, s), limit)]
 
 
-def _blocking_counts(game, partition: Partition, witness_cap: int):
-    if isinstance(game, SimpleFHG):
-        check_subset_guard(game.n)
-        return _fhg_census(game, partition, (1 << game.n) - 1, witness_cap)
-    if isinstance(game, AnonymousHG):
-        improve = _anon_improve_masks(game, partition)
-        witnesses = []
-        for s in range(1, game.n + 1):
-            witnesses += _first_meeting(improve[s], -1, s, witness_cap - len(witnesses))
-        return _anon_counts(improve), witnesses
-    raise TypeError(f"cannot enumerate blockers of {type(game).__name__}")
-
-
 def exact_blocking(
     game, partition: Partition, dist=None, witness_cap: int = WITNESS_CAP
 ) -> BlockingReport:
@@ -238,23 +250,21 @@ def exact_blocking(
     form at any n, witnesses by ascending size, then as lexicographic
     combinations of the improving agents.
     """
-    counts, witness_masks = _blocking_counts(game, partition, witness_cap)
-    total = (1 << game.n) - 1
+    census = _census(game, partition)
+    counts, witness_masks, _ = census.count(witness_cap)
+    total = (1 << census.n) - 1
     blocking = sum(counts)
-    mass = None
-    if dist is not None:
-        mass = exact_blocking_mass(game, partition, dist, _counts=counts)
     return BlockingReport(
         total_coalitions=total,
         blocking_count=blocking,
         fraction=Fraction(blocking, total),
-        mass=mass,
+        mass=None if dist is None else _blocking_mass(census, dist, counts),
         witnesses=tuple(Coalition(m) for m in witness_masks),
         blocking_by_size=tuple(counts),
     )
 
 
-def exact_blocking_mass(game, partition: Partition, dist, _counts=None) -> Fraction:
+def exact_blocking_mass(game, partition: Partition, dist) -> Fraction:
     """Exact probability that a coalition drawn from ``dist`` core-blocks.
 
     ``dist`` is a mass model (see ``distributions``): every blocker weighs
@@ -262,18 +272,22 @@ def exact_blocking_mass(game, partition: Partition, dist, _counts=None) -> Fract
     for the family mass. The census is skipped when every unit mass is 0, so
     a pure family needs no enumeration guard.
     """
+    return _blocking_mass(_census(game, partition), dist)
+
+
+def _blocking_mass(census, dist, counts=None) -> Fraction:
+    """``exact_blocking_mass`` on a census, reusing its per-size ``counts`` if known."""
     if not hasattr(dist, "unit_mass_of_size"):
         raise TypeError(f"cannot compute blocking mass under {type(dist).__name__}")
-    unit = [Fraction(0)] + [dist.unit_mass_of_size(s) for s in range(1, game.n + 1)]
+    n = census.n
+    unit = [Fraction(0)] + [dist.unit_mass_of_size(s) for s in range(1, n + 1)]
     mass = Fraction(0)
     if any(unit):
-        counts = _blocking_counts(game, partition, 0)[0] if _counts is None else _counts
-        mass = sum((counts[s] * unit[s] for s in range(1, game.n + 1)), mass)
-    if dist.family:
-        pred = blocker_predicate(game, partition)
-        for c in dist.family:
-            if pred(c.mask):
-                mass += dist.family_mass - unit[c.size]
+        counts = census.count()[0] if counts is None else counts
+        mass = sum((counts[s] * unit[s] for s in range(1, n + 1)), mass)
+    for c in dist.family:
+        if census.blocks(c.mask):
+            mass += dist.family_mass - unit[c.size]
     return mass
 
 
@@ -378,7 +392,7 @@ def check_sp_lemmas(
     at_mask = mask_of(trace.at_in_star)
     before_mask = mask_of(trace.before_in_star)
     after_mask = mask_of(trace.after_in_star)
-    improve = _anon_improve_masks(game, partition)
+    improve = _AnonCensus(game, partition).improve
     total = _anon_counts(improve)
     avoid_before = _anon_counts(improve, before_mask)
     avoid_after = _anon_counts(improve, after_mask)
@@ -447,13 +461,7 @@ def has_blocker(game, partition: Partition) -> bool:
     at least s agents strictly improve at size s. Fractional games fall back
     to a guarded early-exit scan.
     """
-    n = game.n
-    if isinstance(game, AnonymousHG):
-        improve = _anon_improve_masks(game, partition)
-        return any(improve[s].bit_count() >= s for s in range(1, n + 1))
-    check_subset_guard(n)
-    pred = blocker_predicate(game, partition)
-    return any(pred(mask) for mask in range(1, 1 << n))
+    return _census(game, partition).exists()
 
 
 def _anon_stable_profile(game: AnonymousHG) -> Partition | None:
@@ -556,20 +564,14 @@ def gr_decomposition(game, partition: Partition, gr_agents) -> GrDecomposition:
     the fraction of blockers meeting it, and the census here makes both terms
     exact.
     """
-    n = game.n
-    full = (1 << n) - 1
+    census = _census(game, partition)
+    full = (1 << census.n) - 1
     gr_mask = mask_of(gr_agents) & full
-    if isinstance(game, AnonymousHG):
-        improve = _anon_improve_masks(game, partition)
-        blockers, avoiding = (sum(_anon_counts(improve, avoid)) for avoid in (0, gr_mask))
-    else:
-        check_subset_guard(n)
-        blockers, avoiding = (
-            sum(_fhg_census(game, partition, full & ~avoid, 0)[0]) for avoid in (0, gr_mask)
-        )
+    counts, _, avoiding = census.count(avoid=gr_mask)
+    blockers = sum(counts)
     return GrDecomposition(
         total_coalitions=full,
-        avoiding_gr=(1 << n - gr_mask.bit_count()) - 1,
+        avoiding_gr=(1 << census.n - gr_mask.bit_count()) - 1,
         blockers_avoiding=avoiding,
         blockers_meeting=blockers - avoiding,
     )

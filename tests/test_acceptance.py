@@ -17,6 +17,7 @@ import pytest
 from epsfc import (
     Coalition,
     LearningError,
+    Partition,
     SizeTilted,
     UniformCoalitions,
     adversarial_family,
@@ -327,9 +328,10 @@ def test_a10_impossibility_number():
 
 
 def test_a10_scale_extension_keeps_empty_core(monkeypatch):
-    """At n = 2*7 + 1 = 15, where A10's extension is sound, the extended A9
-    base still has an empty core. Bell(15) = 1.38e9 partitions are out of a
-    sweep's reach; the block-size search certifies it."""
+    """At n = 2*7 + 1 = 15 the extended A9 base still has an empty core.
+    Bell(15) = 1.38e9 partitions are out of a sweep's reach; the block-size
+    search certifies it. This says nothing of A10's family mass floor there
+    (see the next test)."""
     result = _searched_instance()
     if not result.found:
         pytest.skip("A9 found no instance")
@@ -338,6 +340,21 @@ def test_a10_scale_extension_keeps_empty_core(monkeypatch):
     extended, _ = extend_anon_sp(result.game, 15)
     ok = budget.done(certify_empty_core(extended), "extended A9 base to n = 15")
     assert ok
+
+
+def test_a10_family_mass_floor_is_not_strict_at_n15(monkeypatch):
+    """At n = 15 a partition of the extended A9 base meets A10's family floor
+    exactly, so the strict "mass > 1/2^7" fails there too: the extension
+    does not become sound at n = 15."""
+    result = _searched_instance()
+    if not result.found:
+        pytest.skip("A9 found no instance")
+    monkeypatch.setenv("EPSFC_MAX_N", "15")
+    extended, _ = extend_anon_sp(result.game, 15)
+    dist = family_uniform(adversarial_family(15, 7), n=15)
+    blocks = [[0], [6], [7], [8], [9], [10], [1, 11], [2, 3, 5], [4, 12, 13, 14]]
+    partition = Partition.from_blocks(blocks, 15)
+    assert exact_blocking_mass(extended, partition, dist) == Fraction(1, 2**7)
 
 
 def test_a11_green_count_decomposition():

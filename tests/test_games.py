@@ -18,7 +18,6 @@ from epsfc import (
     check_single_peaked,
     is_individually_rational,
     validate_partition,
-    value,
 )
 from epsfc.instances import random_anon, random_fhg, random_partition
 
@@ -47,31 +46,31 @@ class TestCoalition:
 class TestValue:
     def test_mutual_pair_half(self):
         g = mutual_pair()
-        assert value(g, 0, Coalition.of(0, 1)) == Fraction(1, 2)
+        assert g.value(0, Coalition.of(0, 1)) == Fraction(1, 2)
 
     def test_singleton_zero(self):
         g = random_fhg(6, 0.7, 1)
         for i in range(6):
-            assert value(g, i, Coalition.of(i)) == 0
+            assert g.value(i, Coalition.of(i)) == 0
 
     def test_anonymous_lookup(self):
         g = AnonymousHG([[0.1, 0.7, 0.3]] * 3)
-        assert value(g, 2, Coalition.of(1, 2)) == 0.7
+        assert g.value(2, Coalition.of(1, 2)) == 0.7
 
     def test_nonmember_undefined(self):
         g = mutual_pair()
         with pytest.raises(UndefinedValuationError):
-            value(g, 0, Coalition.of(1))
+            g.value(0, Coalition.of(1))
         ga = AnonymousHG([[0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(UndefinedValuationError):
-            value(ga, 1, Coalition.of(0))
+            ga.value(1, Coalition.of(0))
 
     def test_fhg_value_range(self):
         g = random_fhg(8, 0.5, 3)
         for mask in range(1, 1 << 8):
             c = Coalition(mask)
             for i in c:
-                v = value(g, i, c)
+                v = g.value(i, c)
                 assert 0 <= v <= Fraction(c.size - 1, c.size)
 
 
@@ -100,7 +99,7 @@ class TestBlocks:
             mask = rng.randrange(1, 1 << n)
             c = Coalition(mask)
             direct = all(
-                value(g, i, c) > value(g, i, p.block_of(i)) for i in c
+                g.value(i, c) > g.value(i, p.block_of(i)) for i in c
             )
             assert blocks(g, c, p) == direct
 

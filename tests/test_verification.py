@@ -12,6 +12,7 @@ from epsfc import (
     Coalition,
     EmptyIntervalError,
     GuardError,
+    LearnedAnonymous,
     Partition,
     SimpleFHG,
     SizeInterval,
@@ -72,6 +73,27 @@ class TestExactBlocking:
         assert report.blocking_count == 1
         assert report.fraction == Fraction(1, 3)
         assert report.witnesses == (Coalition.of(0, 1),)
+
+    @pytest.mark.parametrize(
+        "game", [LearnedAnonymous(4), SimpleNamespace(n=4)], ids=["learned-view", "foreign"]
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            blocker_predicate,
+            has_blocker,
+            exact_blocking,
+            lambda g, p: gr_decomposition(g, p, [0]),
+            lambda g, p: exact_blocking_mass(g, p, UniformCoalitions(4)),
+            lambda g, p: mc_blocking(g, p, UniformCoalitions(4), 10, seed=0),
+            lambda g, p: find_core_stable_partition(g),
+        ],
+        ids=["predicate", "has_blocker", "exact", "gr", "mass", "mc", "core_search"],
+    )
+    def test_non_game_is_a_type_error(self, call, game):
+        # a learned view or a foreign object is refused alike, by every entry point
+        with pytest.raises(TypeError, match="cannot enumerate blockers of"):
+            call(game, Partition.singletons(4))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fhg_matches_naive_oracle(self, seed):
@@ -704,6 +726,9 @@ class TestFhgCensus:
             partition, trace = stabilize_fhg(g)
             self._check(g, partition, gr=trace.gr)
             self._check(g, random_partition(n, rng.getrandbits(32)), gr=range(0, n, 3))
+            # the avoid split's two halves: agents fixed by the block index, agents across lanes
+            self._check(g, partition, gr=range(12, n))
+            self._check(g, partition, gr=range(12))
 
     @pytest.mark.parametrize("gr", ["empty", "partial", "all"])
     def test_gr_split_extremes(self, gr):
