@@ -21,7 +21,6 @@ from epsfc import (
     exact_blocking_mass,
     iter_samples,
     learn_anonymous,
-    lambda_of,
     mean_size,
     random_anon,
     stabilize_anonymous,
@@ -33,7 +32,7 @@ SEED = 2024
 
 game = random_anon(N, SEED)  # hidden from the pipeline until verification
 dist = SizeTilted(N, [1 + s / (N - 1) for s in range(N)])
-lam = float(lambda_of(dist))
+lam = float(dist.lambda_bound())
 print(f"=== anonymous pipeline: n={N}, eps={EPS}, delta={DELTA}, lambda={lam:g} ===\n")
 
 m = anon_sample_size(N, DELTA, EPS, lam)
@@ -59,7 +58,7 @@ print(f"agents at their window optimum: {len(green)} of {N}: {green}\n")
 mass = exact_blocking_mass(game, partition, dist)
 pmf = dist.size_pmf()
 outside = sum((pmf[s] for s in range(1, N + 1) if s not in window), Fraction(0))
-_, tail = bartlett_bounds(Fraction(1, 2 ** len(green)), lambda_of(dist))
+_, tail = bartlett_bounds(Fraction(1, 2 ** len(green)), dist.lambda_bound())
 print(f"exact blocking mass : {float(mass):.5f}")
 print(f"certified ceiling   : P(size outside window) + ratio tail"
       f" = {float(outside):.5f} + {float(tail):.5f} = {float(outside + tail):.5f}")

@@ -13,13 +13,13 @@ import sys
 from fractions import Fraction
 
 from epsfc import (
+    AdversarialBounded,
+    FamilyUniform,
     Partition,
-    adversarial_bounded,
     adversarial_family,
     certify_empty_core,
     exact_blocking_mass,
     extend_anon_sp,
-    family_uniform,
     find_empty_core_sp,
     random_partition,
 )
@@ -41,7 +41,7 @@ extended, certificate = extend_anon_sp(result.game, N)
 family = adversarial_family(N, BASE_N)
 print(f"\nextended to n={N}; adversarial family holds {len(family)} coalitions")
 
-dist = family_uniform(family, n=N)
+dist = FamilyUniform(family, n=N)
 floor = Fraction(1, 2**BASE_N)
 worst = None
 worst_partition = None
@@ -69,14 +69,14 @@ always contains a blocker, because the base instance's empty core applies:""")
         base_partition = random_partition(BASE_N, seed)
         blocks = [list(b.members()) for b in base_partition.blocks]
         blocks.append(range(BASE_N, N))
-        lifted = Partition.from_blocks(blocks, N)
+        lifted = Partition(blocks, N)
         mass = exact_blocking_mass(extended, lifted, dist)
         worst_kept = mass if worst_kept is None else min(worst_kept, mass)
     print(f"  min mass over 1000 newcomer-respecting partitions: {worst_kept}"
           f" >= {floor}, so every eps <= {floor} is defeated there")
 
 for lam in (2, 10):
-    bd = adversarial_bounded(family, N, lam)
+    bd = AdversarialBounded(family, N, lam)
     worst_b = min(
         exact_blocking_mass(extended, random_partition(N, seed), bd)
         for seed in range(200)

@@ -14,11 +14,8 @@ from .distributions import (
     SizeInterval,
     SizeTilted,
     UniformCoalitions,
-    adversarial_bounded,
     bartlett_bounds,
     delta_bound,
-    family_uniform,
-    lambda_of,
     mean_size,
     mean_size_bounds,
     size_interval,

@@ -163,6 +163,13 @@ def _parse_ordering(text: str, n: int) -> tuple[int, ...]:
     return ordering
 
 
+def _check_class(klass: str, game) -> None:
+    """Refuse a --class whose game type differs from the loaded game's."""
+    if not isinstance(game, SimpleFHG if klass == "fhg" else AnonymousHG):
+        kind = "a fractional" if klass == "fhg" else "an anonymous"
+        raise UsageError(f"--class {klass} needs {kind} game file")
+
+
 def cmd_stabilize(args) -> int:
     klass = args.klass
     if bool(args.game) == bool(args.samples):
@@ -170,9 +177,7 @@ def cmd_stabilize(args) -> int:
     loaded = eio.load_game(args.game) if args.game else None
     if loaded is not None:
         view = loaded.game
-        if not isinstance(view, SimpleFHG if klass == "fhg" else AnonymousHG):
-            kind = "a fractional" if klass == "fhg" else "an anonymous"
-            raise UsageError(f"--class {klass} needs {kind} game file")
+        _check_class(klass, view)
     elif args.n is None:
         raise UsageError("--n is required with --samples")
     else:
@@ -237,6 +242,8 @@ def _append_csv(path, columns: list[str], rows) -> None:
 
 def cmd_verify(args) -> int:
     game = eio.load_game(args.game).game
+    if args.klass:
+        _check_class(args.klass, game)
     partition = eio.load_partition(args.partition, game.n)
     dist = _load_dist(args.dist, game.n)
     klass = args.klass or ("fhg" if isinstance(game, SimpleFHG) else "anon")

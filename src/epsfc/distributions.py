@@ -10,6 +10,13 @@ parallel users hand one independent stream to each worker. All randomness is
 consumed through ``randrange`` so draws are reproducible bit-for-bit for a
 fixed seed.
 
+The classes are the constructors: ``UniformCoalitions(n)``,
+``SizeTilted(n, g)``, ``FamilyUniform(family, n)`` and
+``AdversarialBounded(family, n, lam)``. A family lists Coalitions or
+agent-id lists, and every exact number may be an int, a float, a "p/q"
+string or a Fraction. ``d.lambda_bound()`` is the exact max/min point-mass
+ratio, where one exists.
+
 Every distribution is one mass model: a unit mass per coalition size, plus
 an explicit family whose members all carry one family mass instead. Point
 masses and the size PMF are derived from those two in one place, and so is
@@ -43,9 +50,6 @@ __all__ = [
     "FamilyUniform",
     "AdversarialBounded",
     "SizeInterval",
-    "family_uniform",
-    "adversarial_bounded",
-    "lambda_of",
     "mean_size",
     "bartlett_bounds",
     "delta_bound",
@@ -54,21 +58,8 @@ __all__ = [
 ]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        # Exact: every float is a dyadic rational.
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)  # "p/q", as written by _spec_number
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
 def _spec_number(x: Fraction):
-    """A JSON value that ``_as_fraction`` reads back exactly: an int or "p/q"."""
+    """A JSON value that ``Fraction`` reads back exactly: an int or "p/q"."""
     return x.numerator if x.denominator == 1 else str(x)
 
 
@@ -106,9 +97,7 @@ class _MassModel:
     def _set_family(self, coalitions: Iterable, n: int | None, name: str) -> None:
         """Store a duplicate-free list of non-empty coalitions inside [0, n)
         as the family; errors call it ``name``."""
-        family = tuple(
-            c if isinstance(c, Coalition) else Coalition.from_members(c) for c in coalitions
-        )
+        family = tuple(c if isinstance(c, Coalition) else Coalition.of(*c) for c in coalitions)
         masks = [c.mask for c in family]
         if 0 in masks:
             raise ValueError(f"{name} coalitions must be non-empty")
@@ -168,7 +157,7 @@ class SizeTilted(_MassModel):
     def __init__(self, n: int, size_weights: Sequence):
         if len(size_weights) != n:
             raise ValueError(f"expected {n} size weights, got {len(size_weights)}")
-        g = tuple(_as_fraction(w) for w in size_weights)
+        g = tuple(Fraction(w) for w in size_weights)
         if any(w <= 0 for w in g):
             raise ValueError("all size weights must be strictly positive")
         self.n = n
@@ -219,10 +208,6 @@ class FamilyUniform(_MassModel):
         self.family_mass = Fraction(1, len(self.family))
         self.n = n if n is not None else max(m.bit_length() for m in self._family_masks)
 
-    @property
-    def support(self) -> tuple[Coalition, ...]:
-        return self.family
-
     def sample(self, rng) -> Coalition:
         return self.family[rng.randrange(len(self.family))]
 
@@ -238,11 +223,11 @@ class FamilyUniform(_MassModel):
     def spec(self) -> dict:
         return {
             "kind": "family",
-            "support": [[i + 1 for i in c.members()] for c in self.support],
+            "support": [[i + 1 for i in c.members()] for c in self.family],
         }
 
     def __repr__(self) -> str:
-        return f"FamilyUniform(n={self.n}, support_size={len(self.support)})"
+        return f"FamilyUniform(n={self.n}, support_size={len(self.family)})"
 
 
 class AdversarialBounded(_MassModel):
@@ -258,7 +243,7 @@ class AdversarialBounded(_MassModel):
     __slots__ = ("n", "family", "lam", "p", "_family_masks", "_branch_num", "_branch_den")
 
     def __init__(self, family: Iterable, n: int, lam):
-        lam = _as_fraction(lam)
+        lam = Fraction(lam)
         if lam < 1:
             raise ValueError("ratio bound must be >= 1")
         self._set_family(family, n, "family")
@@ -303,21 +288,6 @@ class AdversarialBounded(_MassModel):
             f"AdversarialBounded(n={self.n}, family_size={len(self.family)}, "
             f"lambda={float(self.lam):g})"
         )
-
-
-def family_uniform(support: Iterable, n: int | None = None) -> FamilyUniform:
-    """Uniform distribution over an explicit, duplicate-free coalition list."""
-    return FamilyUniform(support, n=n)
-
-
-def adversarial_bounded(family: Iterable, n: int, lam) -> AdversarialBounded:
-    """Ratio-bounded distribution concentrating on ``family``; see the class."""
-    return AdversarialBounded(family, n, lam)
-
-
-def lambda_of(dist) -> Fraction:
-    """Exact max/min point-mass ratio of ``dist``; raises if it has none."""
-    return dist.lambda_bound()
 
 
 def mean_size(dist) -> Fraction:
@@ -387,7 +357,7 @@ def size_interval(mu, lam, eps: float, n: int) -> SizeInterval:
 
 def mean_size_bounds(n: int, lam) -> tuple[Fraction, Fraction]:
     """Exact bounds (n/(lam+1), lam*n/(lam+1)) on the mean coalition size."""
-    lam = _as_fraction(lam)
+    lam = Fraction(lam)
     if lam < 1:
         raise ValueError("ratio bound must be >= 1")
     return Fraction(n) / (lam + 1), lam * n / (lam + 1)

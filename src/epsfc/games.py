@@ -58,10 +58,6 @@ class Coalition:
     def of(cls, *members: int) -> "Coalition":
         return cls(mask_of(members))
 
-    @classmethod
-    def from_members(cls, members: Iterable[int]) -> "Coalition":
-        return cls(mask_of(members))
-
     def members(self) -> tuple[int, ...]:
         return tuple(bits_of(self.mask))
 
@@ -132,28 +128,21 @@ def validate_partition(blocks, n: int) -> PartitionCheck:
 
 
 class Partition:
-    """A disjoint cover of [0, n) by coalitions, with O(1) agent lookup."""
+    """A disjoint cover of [0, n) by coalitions or agent-id lists, with O(1) agent lookup."""
 
     __slots__ = ("n", "blocks", "assignment")
 
-    def __init__(self, blocks: Sequence[Coalition], n: int):
-        check = validate_partition(blocks, n)
+    def __init__(self, blocks: Iterable, n: int):
+        self.blocks = tuple(b if isinstance(b, Coalition) else Coalition.of(*b) for b in blocks)
+        check = validate_partition(self.blocks, n)
         if not check.ok:
             raise PartitionError(f"invalid partition over {n} agents: {check}")
         self.n = n
-        self.blocks = tuple(blocks)
         assignment = [0] * n
         for b, block in enumerate(self.blocks):
             for i in block:
                 assignment[i] = b
         self.assignment = tuple(assignment)
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int) -> "Partition":
-        coalitions = [
-            b if isinstance(b, Coalition) else Coalition.from_members(b) for b in blocks
-        ]
-        return cls(coalitions, n)
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
@@ -228,9 +217,6 @@ class SimpleFHG:
 
     def matrix(self) -> list[list[int]]:
         return [[self.adj_masks[i] >> j & 1 for j in range(self.n)] for i in range(self.n)]
-
-    def neighbors_mask(self, i: int) -> int:
-        return self.adj_masks[i]
 
     def degree(self, i: int) -> int:
         return self.adj_masks[i].bit_count()

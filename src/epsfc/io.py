@@ -24,13 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .distributions import (
-    AdversarialBounded,
-    FamilyUniform,
-    SizeTilted,
-    UniformCoalitions,
-    _as_fraction,
-)
+from .distributions import AdversarialBounded, FamilyUniform, SizeTilted, UniformCoalitions
 from .games import AnonymousHG, Coalition, Partition, SimpleFHG
 from .learning import SampleRecord
 
@@ -120,7 +114,7 @@ def _agents(ids, n: int, what: str) -> list[int]:
 
 
 def partition_from_dict(d: dict, n: int) -> Partition:
-    return Partition.from_blocks([_agents(block, n, "partition") for block in d["blocks"]], n)
+    return Partition([_agents(block, n, "partition") for block in d["blocks"]], n)
 
 
 def save_partition(path, partition: Partition) -> None:
@@ -139,10 +133,9 @@ def distribution_from_dict(d: dict, n: int):
     if kind == "size_tilted":
         return SizeTilted(n, d["g"])
     if kind == "family":
-        support = [Coalition.from_members(_agents(c, n, "family support")) for c in d["support"]]
-        return FamilyUniform(support, n=n)
+        return FamilyUniform([_agents(c, n, "family support") for c in d["support"]], n=n)
     if kind == "adversarial":
-        family = [Coalition.from_members(_agents(c, n, "adversarial family")) for c in d["family"]]
+        family = [_agents(c, n, "adversarial family") for c in d["family"]]
         return AdversarialBounded(family, n, d["lambda"])
     raise ValueError(f"unknown distribution kind {kind!r}")
 
@@ -214,7 +207,7 @@ def stream_samples(path, *, n: int | None = None) -> Iterator[SampleRecord]:
     span = ">= 1" if n is None else f"in [1, {n}]"
     floats = _Memo(float)
     decode = json.JSONDecoder(parse_float=floats.__getitem__).decode
-    fractions = _Memo(_as_fraction)
+    fractions = _Memo(Fraction)
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if line.isspace():

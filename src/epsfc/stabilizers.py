@@ -122,7 +122,7 @@ def _matching_branch(game, degrees, th):
         i = pool[0]
         d = degrees[i]
         target = 0 if d == 0 else -((-2 * d) // (n - d))  # ceil(2d / (n - d))
-        neighbors = list(bits_of(game.neighbors_mask(i)))
+        neighbors = list(bits_of(game.adj_masks[i]))
         preferred = [j for j in neighbors if block[j] == 1 << j and j not in pool]
         rest = [j for j in neighbors if j not in preferred]
         partners = tuple((preferred + rest)[:target])
@@ -149,7 +149,7 @@ def _clique_branch(game, degrees, th):
         if not candidates:
             break
         i = max(bits_of(candidates), key=lambda a: (degrees[a], -a))
-        keep = game.neighbors_mask(i) | 1 << i
+        keep = game.adj_masks[i] | 1 << i
         removed = tuple(bits_of(club & ~keep))
         club &= keep
         taken |= 1 << i
@@ -207,8 +207,7 @@ def _pack(view, s_star, first) -> Partition:
     n = view.n
     chosen = set(first)
     ordered = [*first, *(i for i in range(n) if i not in chosen)]
-    blocks = [Coalition.from_members(ordered[k : k + s_star]) for k in range(0, n, s_star)]
-    return Partition(blocks, n)
+    return Partition([ordered[k : k + s_star] for k in range(0, n, s_star)], n)
 
 
 def stabilize_anonymous(view, interval) -> tuple[Partition, AnonStabilizerTrace]:

@@ -516,7 +516,7 @@ def _anon_stable_profile(game: AnonymousHG) -> Partition | None:
     for c in sizes:
         group = [i for i in range(n) if size[i] == c]
         blocks += [group[k : k + c] for k in range(0, len(group), c)]
-    return Partition.from_blocks(blocks, n)
+    return Partition(blocks, n)
 
 
 def find_core_stable_partition(game) -> Partition | None:

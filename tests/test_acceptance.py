@@ -16,6 +16,7 @@ import pytest
 
 from epsfc import (
     Coalition,
+    FamilyUniform,
     LearningError,
     Partition,
     SizeTilted,
@@ -31,7 +32,6 @@ from epsfc import (
     exact_blocking,
     exact_blocking_mass,
     extend_anon_sp,
-    family_uniform,
     fhg_sample_size,
     find_empty_core_sp,
     learn_anonymous,
@@ -276,14 +276,13 @@ def test_a9_empty_core_discovery():
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "reduced-scale defect: extending a 7-agent base to n=9 cannot keep the "
-        "always-blocking family property. A mixed block {base agent, 8, 9} has "
-        "size 3, which is neither > 7 (no singleton deviation is forced) nor "
-        "< n-7 = 2 (the newcomer block cannot tempt agents 8, 9), so partitions "
-        "exist whose family blocking mass is 0, not > 1/2^7. The construction "
-        "is sound only for n >= 2*7+1 = 15, where the full Bell(n) sweep is "
-        "infeasible. Measured: every one of 40 searched bases admits such a "
-        "partition. See the decisions ledger."
+        "reduced-scale defect: extending the 7-agent A9 base to n = 9 loses the "
+        "always-blocking family property. 298 of the 21,147 partitions of the "
+        "extended base have family blocking mass 0, not > 1/2^7, for example "
+        "[[0, 1, 2, 3, 4], [5, 7, 8], [6]]; each of them has a block that mixes "
+        "base agents with newcomers. The strict floor fails at n = 15 too: "
+        "test_a10_family_mass_floor_is_not_strict_at_n15 pins a partition whose "
+        "mass is exactly 1/2^7."
     ),
 )
 def test_a10_impossibility_number():
@@ -293,7 +292,7 @@ def test_a10_impossibility_number():
         pytest.skip("A9 found no instance; A10 skipped per its statement")
     extended, _ = extend_anon_sp(result.game, 9)
     family = adversarial_family(9, 7)
-    dist = family_uniform(family, n=9)
+    dist = FamilyUniform(family, n=9)
     floor = Fraction(1, 2**7)
 
     random_ok = True
@@ -351,9 +350,9 @@ def test_a10_family_mass_floor_is_not_strict_at_n15(monkeypatch):
         pytest.skip("A9 found no instance")
     monkeypatch.setenv("EPSFC_MAX_N", "15")
     extended, _ = extend_anon_sp(result.game, 15)
-    dist = family_uniform(adversarial_family(15, 7), n=15)
+    dist = FamilyUniform(adversarial_family(15, 7), n=15)
     blocks = [[0], [6], [7], [8], [9], [10], [1, 11], [2, 3, 5], [4, 12, 13, 14]]
-    partition = Partition.from_blocks(blocks, 15)
+    partition = Partition(blocks, 15)
     assert exact_blocking_mass(extended, partition, dist) == Fraction(1, 2**7)
 
 

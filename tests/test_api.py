@@ -1,0 +1,50 @@
+"""The public API: every exported name resolves, and each operation has one name."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import epsfc
+from epsfc import Coalition, FamilyUniform, Partition, SimpleFHG, distributions
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(epsfc.__path__) if m.name != "__main__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"epsfc.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_package_imports_exist():
+    tree = ast.parse(Path(epsfc.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"epsfc.{node.module}")
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"epsfc.{node.module}.{alias.name}"
+            assert hasattr(epsfc, alias.asname or alias.name)
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (epsfc, "family_uniform"),
+        (epsfc, "adversarial_bounded"),
+        (epsfc, "lambda_of"),
+        (distributions, "family_uniform"),
+        (distributions, "adversarial_bounded"),
+        (distributions, "lambda_of"),
+        (distributions, "_as_fraction"),
+        (FamilyUniform, "support"),
+        (Coalition, "from_members"),
+        (Partition, "from_blocks"),
+        (SimpleFHG, "neighbors_mask"),
+    ],
+)
+def test_deleted_alias_stays_deleted(owner, name):
+    assert not hasattr(owner, name)

@@ -285,6 +285,21 @@ class TestVerify:
         rows = list(csv.DictReader(csv_path.open()))
         assert [r["seed"] for r in rows] == ["1", "2"]
 
+    @pytest.mark.parametrize(
+        "kind, klass, needs",
+        [("anon-random", "fhg", "a fractional"), ("fhg-random", "anon", "an anonymous")],
+    )
+    def test_class_must_match_the_game(self, tmp_path, capsys, kind, klass, needs):
+        game = tmp_path / "g.json"
+        part = tmp_path / "p.json"
+        run("gen", "--kind", kind, "--n", 6, "--p", 0.5, "--seed", 1, "--out", game)
+        part.write_text('{"blocks": [[1, 2, 3, 4, 5, 6]]}')
+        message = f"--class {klass} needs {needs} game file"
+        for command in (("verify", "--partition", part), ("stabilize", "--out", part)):
+            capsys.readouterr()
+            assert run(*command, "--game", game, "--class", klass) == 2
+            assert message in capsys.readouterr().err
+
     def test_violation_exit_code(self, tmp_path):
         # a mutual pair against singletons blocks 1/3 > eps
         game = tmp_path / "g.json"

@@ -12,11 +12,8 @@ from epsfc import (
     SizeTilted,
     UnboundedLambdaError,
     UniformCoalitions,
-    adversarial_bounded,
     bartlett_bounds,
     delta_bound,
-    family_uniform,
-    lambda_of,
     mean_size,
     mean_size_bounds,
     size_interval,
@@ -51,48 +48,48 @@ class TestPointMasses:
 
     def test_family_uniform_masses(self):
         support = [Coalition.of(0), Coalition.of(1, 2)]
-        d = family_uniform(support, n=3)
+        d = FamilyUniform(support, n=3)
         assert d.point_mass(Coalition.of(0)) == Fraction(1, 2)
         assert d.point_mass(Coalition.of(0, 1)) == 0
 
     def test_family_singleton_support_deterministic(self):
-        d = family_uniform([Coalition.of(0, 2)], n=3)
+        d = FamilyUniform([Coalition.of(0, 2)], n=3)
         rng = random.Random(3)
         assert all(d.sample(rng) == Coalition.of(0, 2) for _ in range(50))
 
     def test_family_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            family_uniform([Coalition.of(5)], n=3)
+            FamilyUniform([Coalition.of(5)], n=3)
 
     def test_family_covering_everything_matches_uniform(self):
         n = 4
         support = [Coalition(m) for m in range(1, 1 << n)]
-        fam = family_uniform(support, n=n)
+        fam = FamilyUniform(support, n=n)
         uni = UniformCoalitions(n)
         assert brute_point_masses(fam, n) == brute_point_masses(uni, n)
 
 
 class TestLambda:
     def test_uniform(self):
-        assert lambda_of(UniformCoalitions(5)) == 1
+        assert UniformCoalitions(5).lambda_bound() == 1
 
     def test_size_tilted_ratio(self):
-        assert lambda_of(SizeTilted(2, [2, 1])) == 2
-        assert lambda_of(SizeTilted(4, [3, 3, 3, 3])) == 1
+        assert SizeTilted(2, [2, 1]).lambda_bound() == 2
+        assert SizeTilted(4, [3, 3, 3, 3]).lambda_bound() == 1
 
     def test_ratio_matches_brute_force(self):
         for n in (3, 5, 12):
             d = SizeTilted(n, list(range(2, n + 2)))
             masses = brute_point_masses(d, n).values()
-            assert max(masses) / min(masses) == lambda_of(d)
+            assert max(masses) / min(masses) == d.lambda_bound()
 
     def test_family_uniform_unbounded(self):
         with pytest.raises(UnboundedLambdaError):
-            lambda_of(family_uniform([Coalition.of(0)], n=2))
+            FamilyUniform([Coalition.of(0)], n=2).lambda_bound()
 
     def test_adversarial_lambda(self):
-        d = adversarial_bounded([Coalition.of(0)], 4, Fraction(7, 2))
-        assert lambda_of(d) == Fraction(7, 2)
+        d = AdversarialBounded([Coalition.of(0)], 4, Fraction(7, 2))
+        assert d.lambda_bound() == Fraction(7, 2)
         masses = brute_point_masses(d, 4)
         assert max(masses.values()) / min(masses.values()) == Fraction(7, 2)
 
@@ -167,7 +164,7 @@ class TestSampling:
 
     def test_family_sampling_stays_on_support(self):
         support = [Coalition.of(0, 1), Coalition.of(2)]
-        d = family_uniform(support, n=3)
+        d = FamilyUniform(support, n=3)
         rng = random.Random(9)
         assert {d.sample(rng).mask for _ in range(500)} == {c.mask for c in support}
 
@@ -196,7 +193,7 @@ class TestBartlettBounds:
         n = 7
         for weights in ([1] * n, [2, 1, 1, 1, 1, 1, 2], [5, 4, 3, 2, 1, 1, 1]):
             d = SizeTilted(n, weights)
-            lam = lambda_of(d)
+            lam = d.lambda_bound()
             pmf = d.size_pmf()
             for size_subset in range(1, 1 << n):
                 sizes = [s for s in range(1, n + 1) if size_subset >> (s - 1) & 1]
@@ -272,7 +269,7 @@ class TestMeanSize:
         for n in (6, 11):
             weights = [1 + (s % 3) for s in range(n)]
             d = SizeTilted(n, weights)
-            lam = lambda_of(d)
+            lam = d.lambda_bound()
             lo, hi = mean_size_bounds(n, lam)
             assert lo <= mean_size(d) <= hi
 

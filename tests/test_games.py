@@ -16,6 +16,7 @@ from epsfc import (
     UndefinedValuationError,
     blocks,
     check_single_peaked,
+    exact_blocking,
     is_individually_rational,
     validate_partition,
 )
@@ -32,7 +33,7 @@ class TestCoalition:
         assert c.members() == (0, 3, 5)
         assert len(c) == 3
         assert 3 in c and 1 not in c
-        assert Coalition.from_members([5, 0, 3]) == c
+        assert Coalition.of(5, 0, 3) == c
         assert c.size == c.mask.bit_count()
 
     def test_hashable(self):
@@ -144,7 +145,18 @@ class TestValidatePartition:
 
     def test_partition_constructor_rejects(self):
         with pytest.raises(PartitionError):
-            Partition.from_blocks([[0, 1], [1]], 2)
+            Partition([[0, 1], [1]], 2)
+
+    def test_partition_accepts_agent_id_lists(self):
+        p = Partition([[0, 1], [2]], 3)
+        q = Partition([Coalition.of(0, 1), Coalition.of(2)], 3)
+        assert p == q and p.blocks == q.blocks
+        assert [p.size_of(i) for i in range(3)] == [2, 2, 1]
+        assert repr(p) == "Partition([[0, 1], [2]], n=3)"
+        triangle = SimpleFHG.from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        report = exact_blocking(triangle, p)
+        assert report == exact_blocking(triangle, q)
+        assert report.witnesses == (Coalition.of(0, 1, 2),)
 
     @given(st.integers(2, 8), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -152,6 +164,7 @@ class TestValidatePartition:
         p = random_partition(n, random.Random(rng.getrandbits(32)))
         blocks_lists = [list(b.members()) for b in p.blocks]
         assert validate_partition(blocks_lists, n).ok
+        assert Partition(blocks_lists, n) == p
         # corrupt: duplicate one agent into another block, or drop one
         corrupted = [list(b) for b in blocks_lists]
         if rng.random() < 0.5 and len(corrupted) > 1:

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsfc import (
+    AdversarialBounded,
     Coalition,
     Partition,
     SampleRecord,
     UniformCoalitions,
-    adversarial_bounded,
     draw_samples,
     learn_anonymous,
 )
@@ -57,7 +57,7 @@ class TestGameRoundtrip:
 
 class TestPartitionRoundtrip:
     def test_one_based_blocks(self, tmp_path):
-        p = Partition.from_blocks([[0, 2], [1]], 3)
+        p = Partition([[0, 2], [1]], 3)
         path = tmp_path / "p.json"
         eio.save_partition(path, p)
         raw = json.loads(path.read_text())
@@ -97,7 +97,7 @@ class TestDistributionSpecs:
         back = eio.distribution_from_dict(json.loads(json.dumps(tilted.spec())), 4)
         assert back.g == tilted.g
         assert back.lambda_bound() == 3
-        adv = adversarial_bounded([Coalition.of(0)], 4, Fraction(7, 3))
+        adv = AdversarialBounded([Coalition.of(0)], 4, Fraction(7, 3))
         assert adv.spec()["lambda"] == "7/3"
         back = eio.distribution_from_dict(json.loads(json.dumps(adv.spec())), 4)
         assert (back.lam, back.p, back.family) == (adv.lam, adv.p, adv.family)
@@ -108,7 +108,7 @@ class TestDistributionSpecs:
 
     def test_family_one_based(self):
         d = eio.distribution_from_dict({"kind": "family", "support": [[1], [2, 3]]}, 3)
-        assert {c.mask for c in d.support} == {0b001, 0b110}
+        assert {c.mask for c in d.family} == {0b001, 0b110}
         assert d.spec()["support"] == [[1], [2, 3]]
 
     def test_adversarial(self):

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsfc import (
+    AdversarialBounded,
     AnonymousHG,
     Coalition,
     EmptyIntervalError,
+    FamilyUniform,
     GuardError,
     LearnedAnonymous,
     Partition,
@@ -18,7 +20,6 @@ from epsfc import (
     SizeInterval,
     SizeTilted,
     UniformCoalitions,
-    adversarial_bounded,
     audit_green_anonymous,
     bartlett_bounds,
     blocks,
@@ -27,7 +28,6 @@ from epsfc import (
     check_sp_lemmas,
     exact_blocking,
     exact_blocking_mass,
-    family_uniform,
     find_core_stable_partition,
     gr_decomposition,
     has_blocker,
@@ -186,14 +186,14 @@ class TestBlockingMass:
     def test_family_mass(self):
         g = SimpleFHG.from_matrix([[0, 1], [1, 0]])
         p = Partition.singletons(2)
-        d = family_uniform([Coalition.of(0, 1), Coalition.of(0)], n=2)
+        d = FamilyUniform([Coalition.of(0, 1), Coalition.of(0)], n=2)
         assert exact_blocking_mass(g, p, d) == Fraction(1, 2)
 
     def test_adversarial_mass_from_point_masses(self):
         g = random_anon(6, 8)
         p = random_partition(6, 9)
         fam = [Coalition(m) for m in range(1, 1 << 3)]
-        d = adversarial_bounded(fam, 6, 5)
+        d = AdversarialBounded(fam, 6, 5)
         pred = blocker_predicate(g, p)
         brute = sum(
             (d.point_mass(Coalition(m)) for m in range(1, 1 << 6) if pred(m)),
@@ -222,10 +222,10 @@ def mass_cases(draw):
     elif kind == "size_tilted":
         dist = SizeTilted(n, draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
     elif kind == "family":
-        dist = family_uniform([Coalition(m) for m in draw(masks)], n=n)
+        dist = FamilyUniform([Coalition(m) for m in draw(masks)], n=n)
     else:
         lam = draw(st.fractions(1, 9))
-        dist = adversarial_bounded([Coalition(m) for m in draw(masks)], n, lam)
+        dist = AdversarialBounded([Coalition(m) for m in draw(masks)], n, lam)
     return game, partition, dist
 
 
@@ -257,10 +257,10 @@ class TestMassModel:
         support = [Coalition(m) for m in (0b11, 0b111 << 20, (1 << 30) - 1, 1 << 29)]
         pred = blocker_predicate(game, partition)
         hits = sum(1 for c in support if pred(c.mask))
-        dist = family_uniform(support, n=30)
+        dist = FamilyUniform(support, n=30)
         assert exact_blocking_mass(game, partition, dist) == Fraction(hits, len(support))
         with pytest.raises(GuardError):
-            exact_blocking_mass(game, partition, adversarial_bounded(support, 30, 2))
+            exact_blocking_mass(game, partition, AdversarialBounded(support, 30, 2))
 
     def test_foreign_distribution_refused(self):
         game = random_anon(4, 1)
@@ -308,12 +308,12 @@ class TestGreenAudit:
     def test_all_green_when_at_argmax(self):
         row = [0.1, 0.9, 0.5, 0.2]
         g = AnonymousHG([row] * 4)
-        p = Partition.from_blocks([[0, 1], [2, 3]], 4)
+        p = Partition([[0, 1], [2, 3]], 4)
         assert audit_green_anonymous(g, p, [1, 2, 3]) == [0, 1, 2, 3]
 
     def test_singleton_window(self):
         g = random_anon(6, 3)
-        p = Partition.from_blocks([[0, 1], [2, 3], [4], [5]], 6)
+        p = Partition([[0, 1], [2, 3], [4], [5]], 6)
         green = audit_green_anonymous(g, p, [2])
         assert green == [i for i in range(6) if p.size_of(i) == 2]
 
@@ -324,7 +324,7 @@ class TestGreenAudit:
 
     def test_size_interval_window(self):
         g = random_anon(6, 3)
-        p = Partition.from_blocks([[0, 1], [2, 3], [4], [5]], 6)
+        p = Partition([[0, 1], [2, 3], [4], [5]], 6)
         window = size_interval(2.0, 1, 0.9, 6)
         assert audit_green_anonymous(g, p, window) == audit_green_anonymous(g, p, list(window.sizes))
 
@@ -387,7 +387,7 @@ class TestSpLemmas:
                 elif b_agent in ms:
                     ms = ms - {b_agent} | {a}
                 swapped.append(sorted(ms))
-            corrupted = Partition.from_blocks(swapped, n)
+            corrupted = Partition(swapped, n)
             report = check_sp_lemmas(g, corrupted, window, trace)
             if not report.ok:
                 assert report.at_peak_violations or report.mixing_violations
