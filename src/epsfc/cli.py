@@ -454,7 +454,7 @@ def main(argv=None) -> int:
     except (LearningError, EmptyIntervalError) as exc:
         print(f"learning: {exc}", file=sys.stderr)
         return EXIT_LEARNING
-    except (UsageError, PartitionError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (UsageError, PartitionError, FileNotFoundError, ValueError) as exc:
         print(f"usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,10 +12,12 @@ fixed seed.
 
 The classes are the constructors: ``UniformCoalitions(n)``,
 ``SizeTilted(n, g)``, ``FamilyUniform(family, n)`` and
-``AdversarialBounded(family, n, lam)``. A family lists Coalitions or
-agent-id lists, and every exact number may be an int, a float, a "p/q"
-string or a Fraction. ``d.lambda_bound()`` is the exact max/min point-mass
-ratio, where one exists.
+``AdversarialBounded(family, n, lam)``; each takes the agent count ``n``,
+and a family outside [0, n) is refused. A family lists Coalitions or
+0-based agent-id lists, and every exact number may be an int, a float, a
+"p/q" string or a Fraction. ``d.lambda_bound()`` is the exact max/min
+point-mass ratio, where one exists. The JSON specs, with their kind names
+and 1-based agents, are read and written by ``io``.
 
 Every distribution is one mass model: a unit mass per coalition size, plus
 an explicit family whose members all carry one family mass instead. Point
@@ -58,11 +60,6 @@ __all__ = [
 ]
 
 
-def _spec_number(x: Fraction):
-    """A JSON value that ``Fraction`` reads back exactly: an int or "p/q"."""
-    return x.numerator if x.denominator == 1 else str(x)
-
-
 def _uniform_subset_mask(rng, n: int, s: int) -> int:
     """Uniform s-subset of [0, n) by partial Fisher-Yates; consumes randrange only."""
     idx = list(range(n))
@@ -94,7 +91,7 @@ class _MassModel:
             return self.family_mass
         return self.unit_mass_of_size(coalition.size)
 
-    def _set_family(self, coalitions: Iterable, n: int | None, name: str) -> None:
+    def _set_family(self, coalitions: Iterable, n: int, name: str) -> None:
         """Store a duplicate-free list of non-empty coalitions inside [0, n)
         as the family; errors call it ``name``."""
         family = tuple(c if isinstance(c, Coalition) else Coalition.of(*c) for c in coalitions)
@@ -103,7 +100,7 @@ class _MassModel:
             raise ValueError(f"{name} coalitions must be non-empty")
         if len(set(masks)) != len(masks):
             raise ValueError(f"{name} contains duplicate coalitions")
-        if n is not None and any(m >> n for m in masks):
+        if any(m >> n for m in masks):
             raise ValueError(f"{name} references agents outside [0, {n})")
         self.family = family
         self._family_masks = frozenset(masks)
@@ -136,9 +133,6 @@ class UniformCoalitions(_MassModel):
 
     def lambda_bound(self) -> Fraction:
         return Fraction(1)
-
-    def spec(self) -> dict:
-        return {"kind": "uniform"}
 
     def __repr__(self) -> str:
         return f"UniformCoalitions(n={self.n})"
@@ -185,9 +179,6 @@ class SizeTilted(_MassModel):
     def lambda_bound(self) -> Fraction:
         return max(self.g) / min(self.g)
 
-    def spec(self) -> dict:
-        return {"kind": "size_tilted", "g": [_spec_number(w) for w in self.g]}
-
     def __repr__(self) -> str:
         return f"SizeTilted(n={self.n}, lambda={float(self.lambda_bound()):g})"
 
@@ -201,12 +192,12 @@ class FamilyUniform(_MassModel):
 
     __slots__ = ("n", "family", "family_mass", "_family_masks")
 
-    def __init__(self, support: Iterable, n: int | None = None):
+    def __init__(self, support: Iterable, n: int):
         self._set_family(support, n, "support")
         if not self.family:
             raise ValueError("support must be non-empty")
         self.family_mass = Fraction(1, len(self.family))
-        self.n = n if n is not None else max(m.bit_length() for m in self._family_masks)
+        self.n = n
 
     def sample(self, rng) -> Coalition:
         return self.family[rng.randrange(len(self.family))]
@@ -219,12 +210,6 @@ class FamilyUniform(_MassModel):
             "a family-uniform distribution puts zero mass off its support; "
             "no finite point-mass ratio bounds it"
         )
-
-    def spec(self) -> dict:
-        return {
-            "kind": "family",
-            "support": [[i + 1 for i in c.members()] for c in self.family],
-        }
 
     def __repr__(self) -> str:
         return f"FamilyUniform(n={self.n}, support_size={len(self.family)})"
@@ -275,13 +260,6 @@ class AdversarialBounded(_MassModel):
         if f == 0 or f == (1 << self.n) - 1:
             return Fraction(1)
         return self.lam
-
-    def spec(self) -> dict:
-        return {
-            "kind": "adversarial",
-            "family": [[i + 1 for i in c.members()] for c in self.family],
-            "lambda": _spec_number(self.lam),
-        }
 
     def __repr__(self) -> str:
         return (

@@ -349,7 +349,7 @@ def check_single_peaked(game: AnonymousHG, ordering: Sequence[int] | None = None
         order = tuple(range(1, n + 1))
     else:
         order = tuple(ordering)
-        if sorted(order) != list(range(1, n + 1)):
+        if not all(type(s) is int for s in order) or sorted(order) != list(range(1, n + 1)):
             raise ValueError("ordering must be a permutation of the sizes 1..n")
     peaks = []
     for i in range(n):

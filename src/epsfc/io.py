@@ -2,17 +2,17 @@
 
 Agents and sizes are 1-based in every file format (matching the usual
 human-facing convention) and 0-based in memory; the shift happens here and
-nowhere else.
+nowhere else. Each input has one accepted shape, and a reader refuses any
+other with a ValueError naming the field (or, for samples, ``path:line``).
 
 Sample files are JSON-lines, one record per line:
 ``{"S":[1,3,5],"v":["1/3","2/3",0.5]}`` lists the coalition's agents in
 ascending order and then each member's value in that order. Exact rationals
 are "p/q" strings and read back as the same Fractions; floats are JSON
-numbers and read back bit for bit. The older layout, with values keyed by
-agent (``"v": {"1": ...}``), still reads. Samples stream both ways: the
-writer consumes any iterable and the reader yields one record per line.
-Both build a repeated value (a float's text, a parsed float or Fraction)
-once per call, in a memo of bounded size.
+numbers and read back bit for bit. Samples stream both ways: the writer
+consumes any iterable and the reader yields one record per line. Both build
+a repeated value (a float's text, a parsed float or Fraction) once per call,
+in a memo of bounded size.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "partition_from_dict",
     "save_partition",
     "load_partition",
+    "distribution_to_dict",
     "distribution_from_dict",
     "load_distribution",
     "write_samples",
@@ -57,6 +58,20 @@ class GameFile:
     provenance: dict | None = None
 
 
+def _field(d, key: str, what: str, build=None):
+    """``build(d[key])``, or ``d[key]`` with no ``build``; a missing field or a
+    value ``build`` cannot take (a TypeError, "1/0") is a ValueError naming it."""
+    try:
+        return d[key] if build is None else build(d[key])
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f'{what}: "{key}" is missing or malformed: {exc}') from None
+
+
+def _fraction_to_json(x: Fraction):
+    """A JSON value that ``Fraction`` reads back as ``x``: an int or "p/q"."""
+    return x.numerator if x.denominator == 1 else str(x)
+
+
 def game_to_dict(game, sp_ordering=None, provenance=None) -> dict:
     if isinstance(game, SimpleFHG):
         d = {"kind": "fhg", "n": game.n, "adj": game.matrix()}
@@ -72,20 +87,19 @@ def game_to_dict(game, sp_ordering=None, provenance=None) -> dict:
 
 
 def game_from_dict(d: dict) -> GameFile:
-    kind = d.get("kind")
-    n = d.get("n")
+    kind = _field(d, "kind", "game")
     if kind == "fhg":
-        game = SimpleFHG.from_matrix(d["adj"])
+        game = _field(d, "adj", "game", SimpleFHG.from_matrix)
     elif kind == "anon":
-        game = AnonymousHG(d["vals"])
+        game = _field(d, "vals", "game", AnonymousHG)
     else:
         raise ValueError(f"unknown game kind {kind!r}")
+    n = d.get("n")
     if n is not None and game.n != n:
         raise ValueError(f"declared n={n} but found {game.n} rows")
-    ordering = d.get("sp_ordering")
     return GameFile(
         game=game,
-        sp_ordering=None if ordering is None else tuple(ordering),
+        sp_ordering=_field(d, "sp_ordering", "game", tuple) if "sp_ordering" in d else None,
         provenance=d.get("provenance"),
     )
 
@@ -104,17 +118,20 @@ def partition_to_dict(partition: Partition) -> dict:
     return {"blocks": [[i + 1 for i in block.members()] for block in partition.blocks]}
 
 
-def _agents(ids, n: int, what: str) -> list[int]:
-    """The 0-based agents of 1-based ``ids``, each checked to lie in [1, n]
-    before any mask is built from it."""
-    for a in ids:
-        if type(a) is not int or not 1 <= a <= n:
-            raise ValueError(f"{what}: agent id {a!r} is not an integer in [1, {n}]")
-    return [a - 1 for a in ids]
+def _agents(lists, n: int, what: str) -> list[list[int]]:
+    """The 0-based agents of each list of 1-based ids; every id is checked to
+    lie in [1, n] before any mask is built from it, and none to repeat."""
+    for ids in lists:
+        for a in ids:
+            if type(a) is not int or not 1 <= a <= n:
+                raise ValueError(f"{what}: agent id {a!r} is not an integer in [1, {n}]")
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"{what}: agent ids {ids} repeat an agent")
+    return [[a - 1 for a in ids] for ids in lists]
 
 
 def partition_from_dict(d: dict, n: int) -> Partition:
-    return Partition([_agents(block, n, "partition") for block in d["blocks"]], n)
+    return Partition(_field(d, "blocks", "partition", lambda b: _agents(b, n, "partition")), n)
 
 
 def save_partition(path, partition: Partition) -> None:
@@ -125,18 +142,33 @@ def load_partition(path, n: int) -> Partition:
     return partition_from_dict(json.loads(Path(path).read_text()), n)
 
 
+def distribution_to_dict(dist) -> dict:
+    """The spec that ``distribution_from_dict`` reads back as ``dist``."""
+    if isinstance(dist, UniformCoalitions):
+        return {"kind": "uniform"}
+    if isinstance(dist, SizeTilted):
+        return {"kind": "size_tilted", "g": [_fraction_to_json(w) for w in dist.g]}
+    if not isinstance(dist, (FamilyUniform, AdversarialBounded)):
+        raise TypeError(f"cannot serialize {type(dist).__name__}")
+    family = [[i + 1 for i in c.members()] for c in dist.family]
+    if isinstance(dist, FamilyUniform):
+        return {"kind": "family", "support": family}
+    return {"kind": "adversarial", "family": family, "lambda": _fraction_to_json(dist.lam)}
+
+
 def distribution_from_dict(d: dict, n: int):
     """Bind a distribution spec to an agent count and build it."""
-    kind = d.get("kind")
+    kind = _field(d, "kind", "distribution")
     if kind == "uniform":
         return UniformCoalitions(n)
     if kind == "size_tilted":
-        return SizeTilted(n, d["g"])
+        return _field(d, "g", "distribution", lambda g: SizeTilted(n, g))
     if kind == "family":
-        return FamilyUniform([_agents(c, n, "family support") for c in d["support"]], n=n)
+        support = _field(d, "support", "distribution", lambda f: _agents(f, n, "family support"))
+        return FamilyUniform(support, n)
     if kind == "adversarial":
-        family = [_agents(c, n, "adversarial family") for c in d["family"]]
-        return AdversarialBounded(family, n, d["lambda"])
+        family = _field(d, "family", "distribution", lambda f: _agents(f, n, "adversarial family"))
+        return _field(d, "lambda", "distribution", lambda lam: AdversarialBounded(family, n, lam))
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
@@ -195,19 +227,20 @@ def write_samples(path, records) -> int:
 def stream_samples(path, *, n: int | None = None) -> Iterator[SampleRecord]:
     """Yield the records of a sample file one line at a time.
 
-    Reads both line layouts: values listed in member order, and the older
-    ``"v": {"agent": value}`` objects. A "p/q" string reads back as an exact
-    Fraction and every other number as a float. Raises ValueError naming
-    ``path:line`` for a line that is not a JSON object with "S" and "v", an
-    empty or duplicated agent list, an agent id below 1 (or above ``n``,
-    when given: the id is checked before it is shifted into a mask), or a
-    value list whose length differs from the agent list.
+    A "p/q" string reads back as an exact Fraction and every other JSON
+    number as a float. Raises ValueError naming ``path:line`` for a line
+    that is not a JSON object with "S" and "v", an "S" that is not a list or
+    is empty or repeats an agent, an agent id below 1 (or above ``n``, when
+    given: the id is checked before it is shifted into a mask), a "v" that
+    is not a list as long as "S", or a value that is not a number or a
+    "p/q" string (null, true, a list, "1/0").
     """
     top = math.inf if n is None else n
     span = ">= 1" if n is None else f"in [1, {n}]"
     floats = _Memo(float)
     decode = json.JSONDecoder(parse_float=floats.__getitem__).decode
     fractions = _Memo(Fraction)
+    parse = {str: fractions.__getitem__, int: float}  # by JSON type; no null, true, list
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if line.isspace():
@@ -219,6 +252,8 @@ def stream_samples(path, *, n: int | None = None) -> Iterator[SampleRecord]:
                 raise ValueError(f"{path}:{lineno}: not a sample record: {exc!r}") from None
             if not ids:
                 raise ValueError(f"{path}:{lineno}: empty coalition")
+            if type(ids) is not list or type(raw) is not list:
+                raise ValueError(f'{path}:{lineno}: "S" and "v" must be lists')
             mask = 0
             for a in ids:
                 if type(a) is not int or a < 1 or a > top:
@@ -226,23 +261,15 @@ def stream_samples(path, *, n: int | None = None) -> Iterator[SampleRecord]:
                 mask |= 1 << a - 1
             if mask.bit_count() != len(ids):
                 raise ValueError(f"{path}:{lineno}: duplicate agent ids in {ids}")
-            if type(raw) is dict:
-                items = ((int(k), x) for k, x in raw.items())
-            elif len(raw) != len(ids):
-                raise ValueError(
-                    f"{path}:{lineno}: {len(raw)} values for {len(ids)} agents"
-                )
-            else:
-                items = zip(ids, raw)
-            values = {
-                a - 1: x if type(x) is float else fractions[x] if type(x) is str else float(x)
-                for a, x in items
-            }
+            if len(raw) != len(ids):
+                raise ValueError(f"{path}:{lineno}: {len(raw)} values for {len(ids)} agents")
             try:
-                record = SampleRecord(Coalition(mask), values)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            yield record
+                values = {
+                    a - 1: x if type(x) is float else parse[type(x)](x) for a, x in zip(ids, raw)
+                }
+            except (KeyError, ValueError, ArithmeticError):
+                raise ValueError(f"{path}:{lineno}: not every value in {raw} is a number") from None
+            yield SampleRecord(Coalition(mask), values)
 
 
 def read_samples(path, *, n: int | None = None) -> list[SampleRecord]:

@@ -56,9 +56,8 @@ class SampleRecord:
     member_values: Mapping[int, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        # One pass: OR the keys into a mask. Keys that are not agent ids of
-        # this coalition (non-int, negative, past its top bit) leave it to the
-        # set comparison, which also decides keys such as 1.0 or True.
+        # One pass: OR the keys into a mask. Every key must be a member's id
+        # as an int, so 1.0 or True is refused even where it equals one.
         mask = self.coalition.mask
         top = mask.bit_length()
         seen = 0
@@ -69,8 +68,7 @@ class SampleRecord:
         else:
             if seen == mask:
                 return
-        if set(self.member_values) != set(self.coalition.members()):
-            raise ValueError("member_values must be keyed exactly by the coalition members")
+        raise ValueError("member_values must be keyed exactly by the coalition members")
 
 
 def iter_samples(game, dist, m: int, rng) -> Iterator[SampleRecord]:

@@ -292,32 +292,25 @@ def _blocking_mass(census, dist, counts=None) -> Fraction:
 
 
 def mc_blocking(
-    game_or_oracle,
-    partition: Partition | None,
+    game,
+    partition: Partition,
     dist,
     m: int,
     delta: float = 0.05,
     seed: int | None = None,
     rng: random.Random | None = None,
 ) -> McEstimate:
-    """Estimate the blocking probability from m independent draws.
+    """Estimate the blocking probability of ``partition`` from m independent draws.
 
-    ``game_or_oracle`` is a game (paired with ``partition``) or any callable
-    taking a Coalition and returning truth. The confidence radius is the
-    two-sided Hoeffding half-width sqrt(ln(2/delta) / (2m)).
+    The confidence radius is the two-sided Hoeffding half-width
+    sqrt(ln(2/delta) / (2m)).
     """
     if m < 1:
         raise ValueError("need at least one sample")
     if rng is None:
         rng = random.Random(seed)
-    if callable(game_or_oracle):
-        oracle = game_or_oracle
-        hits = sum(1 for _ in range(m) if oracle(dist.sample(rng)))
-    else:
-        if partition is None:
-            raise ValueError("a partition is required when passing a game")
-        pred = blocker_predicate(game_or_oracle, partition)
-        hits = sum(1 for _ in range(m) if pred(dist.sample(rng).mask))
+    pred = blocker_predicate(game, partition)
+    hits = sum(1 for _ in range(m) if pred(dist.sample(rng).mask))
     return McEstimate(
         samples=m,
         hits=hits,
@@ -525,6 +518,8 @@ def find_core_stable_partition(game) -> Partition | None:
     Behind the Bell guard, anonymous games are searched over block-size
     assignments and fractional games over set partitions.
     """
+    if not isinstance(game, (AnonymousHG, SimpleFHG)):
+        raise TypeError(f"cannot enumerate blockers of {type(game).__name__}")
     check_bell_guard(game.n)
     if isinstance(game, AnonymousHG):
         return _anon_stable_profile(game)

@@ -310,6 +310,45 @@ class TestVerify:
         assert run("verify", "--game", game, "--partition", part, "--eps", 0.5) == 0
 
 
+class TestMalformedFiles:
+    VALID = {
+        "game": '{"kind":"anon","vals":[[0.1,0.2,0.3],[0.3,0.2,0.1],[0.2,0.3,0.1]]}',
+        "partition": '{"blocks":[[1,2,3]]}',
+        "dist": '{"kind":"uniform"}',
+    }
+
+    @pytest.mark.parametrize(
+        "role, text, field",
+        [
+            ("game", '{"kind":"anon","vals":[[null]]}', '"vals"'),
+            ("game", '{"kind":"fhg","adj":5}', '"adj"'),
+            ("game", "[1]", '"kind"'),
+            ("game", '{"kind":"anon","vals":[[0,1,0],[0,1,0],[0,1,0]],"sp_ordering":5}', '"sp_ordering"'),
+            ("partition", '{"blocks":5}', '"blocks"'),
+            ("partition", '{"blocks":[5]}', '"blocks"'),
+            ("partition", "[1]", '"blocks"'),
+            ("dist", '{"kind":"size_tilted","g":[null,1,1]}', '"g"'),
+            ("dist", '{"kind":"size_tilted","g":[1,"1/0",1]}', '"g"'),
+            ("dist", '{"kind":"adversarial","family":[[1]],"lambda":null}', '"lambda"'),
+            ("dist", '{"kind":"family","support":5}', '"support"'),
+        ],
+    )
+    def test_wrong_json_shape_is_a_usage_error(self, tmp_path, capsys, role, text, field):
+        paths = {}
+        for name, valid in self.VALID.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text if name == role else valid)
+        # every command that reads the malformed file refuses it
+        commands = [("verify", "--partition", paths["partition"])]
+        if role != "partition":
+            commands.append(("stabilize", "--class", "anon-sp", "--out", tmp_path / "out.json"))
+        for command in commands:
+            capsys.readouterr()
+            assert run(*command, "--game", paths["game"], "--dist", paths["dist"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: {'distribution' if role == 'dist' else role}: {field}")
+
+
 class TestExperiment:
     def _config(self, tmp_path, **over):
         cfg = {

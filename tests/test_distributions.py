@@ -141,7 +141,7 @@ class TestSampling:
             lambda: UniformCoalitions(9),
             lambda: SizeTilted(9, [1, 2, 3, 1, 2, 3, 1, 2, 3]),
             lambda: AdversarialBounded([Coalition.of(0, 1)], 9, 2),
-            lambda: FamilyUniform([Coalition.of(i) for i in range(9)]),
+            lambda: FamilyUniform([Coalition.of(i) for i in range(9)], 9),
         ):
             a = [make().sample(random.Random(77)).mask for _ in range(1)]
             run1 = []

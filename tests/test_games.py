@@ -202,8 +202,10 @@ class TestSinglePeaked:
 
     def test_bad_ordering_rejected(self):
         g = AnonymousHG([[0.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            check_single_peaked(g, ordering=(1, 1))
+        # a file's "sp_ordering" reaches here as read, so other JSON types must not slip by
+        for ordering in [(1, 1), (1, "a"), (1.0, 2), (True, 2), ([1], 2)]:
+            with pytest.raises(ValueError, match="permutation of the sizes"):
+                check_single_peaked(g, ordering=ordering)
 
     @given(st.integers(3, 8), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)

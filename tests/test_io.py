@@ -12,15 +12,17 @@ from hypothesis import strategies as st
 from epsfc import (
     AdversarialBounded,
     Coalition,
+    FamilyUniform,
     Partition,
     SampleRecord,
+    SizeTilted,
     UniformCoalitions,
     draw_samples,
     learn_anonymous,
 )
 from epsfc import io as eio
 from epsfc.instances import random_anon, random_anon_sp, random_fhg, random_partition
-from oracles import dict_keyed_sample_lines, members_of, read_dict_keyed_samples
+from oracles import members_of
 
 
 class TestGameRoundtrip:
@@ -71,10 +73,12 @@ class TestPartitionRoundtrip:
             eio.save_partition(path, p)
             assert eio.load_partition(path, 8) == p
 
-    @pytest.mark.parametrize("block", [[1, 4], [0, 1], [1, 10**7], [1.0, 2]])
+    @pytest.mark.parametrize("block", [[1, 4], [0, 1], [1, 10**7], [1.0, 2], [1, 1]])
     def test_ids_outside_one_to_n_rejected(self, block):
         others = [i for i in (1, 2, 3) if i not in block]
-        with pytest.raises(ValueError, match=r"partition: agent id .* is not an integer in \[1, 3\]"):
+        repeat = block == [1, 1]
+        words = r"ids \[1, 1\] repeat" if repeat else r"id .* is not an integer in \[1, 3\]"
+        with pytest.raises(ValueError, match=f"partition: agent {words}"):
             eio.partition_from_dict({"blocks": [block, others]}, 3)
 
 
@@ -86,20 +90,22 @@ class TestDistributionSpecs:
     def test_size_tilted(self):
         d = eio.distribution_from_dict({"kind": "size_tilted", "g": [2, 1, 1]}, 3)
         assert d.lambda_bound() == 2
-        assert eio.distribution_from_dict(d.spec(), 3).g == d.g
+        assert eio.distribution_from_dict(eio.distribution_to_dict(d), 3).g == d.g
 
     def test_fraction_parameters_roundtrip_exactly(self):
         tilted = eio.distribution_from_dict(
             {"kind": "size_tilted", "g": ["1/3", 1, 1, 1]}, 4
         )
         assert tilted.g == (Fraction(1, 3), 1, 1, 1)
-        assert tilted.spec()["g"] == ["1/3", 1, 1, 1]
-        back = eio.distribution_from_dict(json.loads(json.dumps(tilted.spec())), 4)
+        assert eio.distribution_to_dict(tilted)["g"] == ["1/3", 1, 1, 1]
+        spec = json.loads(json.dumps(eio.distribution_to_dict(tilted)))
+        back = eio.distribution_from_dict(spec, 4)
         assert back.g == tilted.g
         assert back.lambda_bound() == 3
         adv = AdversarialBounded([Coalition.of(0)], 4, Fraction(7, 3))
-        assert adv.spec()["lambda"] == "7/3"
-        back = eio.distribution_from_dict(json.loads(json.dumps(adv.spec())), 4)
+        assert eio.distribution_to_dict(adv)["lambda"] == "7/3"
+        spec = json.loads(json.dumps(eio.distribution_to_dict(adv)))
+        back = eio.distribution_from_dict(spec, 4)
         assert (back.lam, back.p, back.family) == (adv.lam, adv.p, adv.family)
 
     def test_plain_numbers_still_read(self):
@@ -109,7 +115,7 @@ class TestDistributionSpecs:
     def test_family_one_based(self):
         d = eio.distribution_from_dict({"kind": "family", "support": [[1], [2, 3]]}, 3)
         assert {c.mask for c in d.family} == {0b001, 0b110}
-        assert d.spec()["support"] == [[1], [2, 3]]
+        assert eio.distribution_to_dict(d)["support"] == [[1], [2, 3]]
 
     def test_adversarial(self):
         spec = {"kind": "adversarial", "family": [[1], [1, 2]], "lambda": 3}
@@ -128,11 +134,31 @@ class TestDistributionSpecs:
             {"kind": "family", "support": [[10**7]]},
             {"kind": "adversarial", "family": [[0]], "lambda": 2},
             {"kind": "adversarial", "family": [[1, 4]], "lambda": 2},
+            {"kind": "family", "support": [[1, 1], [2]]},
         ],
     )
     def test_ids_outside_one_to_n_rejected(self, spec):
-        with pytest.raises(ValueError, match=r"agent id .* is not an integer in \[1, 3\]"):
+        repeat = spec["kind"] == "family" and spec["support"][0] == [1, 1]
+        words = r"ids \[1, 1\] repeat" if repeat else r"id .* is not an integer in \[1, 3\]"
+        with pytest.raises(ValueError, match=f"agent {words}"):
             eio.distribution_from_dict(spec, 3)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            UniformCoalitions(4),
+            SizeTilted(4, ["1/3", 1, 2.5, 1]),
+            FamilyUniform([[0], [1, 3], [0, 1, 2, 3]], 4),
+            AdversarialBounded([[0, 2], [3]], 4, Fraction(7, 3)),
+        ],
+        ids=repr,
+    )
+    def test_spec_round_trips_through_json(self, dist):
+        text = json.dumps(eio.distribution_to_dict(dist))
+        back = eio.distribution_from_dict(json.loads(text), 4)
+        assert type(back) is type(dist)
+        assert back.size_pmf() == dist.size_pmf()
+        assert back.family == dist.family
 
 
 class TestSamples:
@@ -148,14 +174,6 @@ class TestSamples:
             assert back.coalition == orig.coalition
             for i, v in orig.member_values.items():
                 assert back.member_values[i] == v
-
-    def test_float_file_from_older_writer_still_loads(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        path.write_text('{"S": [1, 3], "v": {"1": 0.5, "3": 0.3333333333333333}}\n')
-        (rec,) = eio.read_samples(path)
-        assert rec.coalition == Coalition.of(0, 2)
-        assert rec.member_values == {0: 0.5, 2: 0.3333333333333333}
-        assert all(type(v) is float for v in rec.member_values.values())
 
     def test_fraction_values_written_exactly(self, tmp_path):
         rec = SampleRecord(Coalition.of(0, 1, 2), {0: Fraction(1, 3), 1: Fraction(0), 2: 0.25})
@@ -244,10 +262,18 @@ class TestMalformedSampleLines:
             ('{"S":["1"],"v":[0.5]}', "agent id '1'"),
             ('{"S":[1,2],"v":[0.5]}', "1 values for 2 agents"),
             ('{"S":[1],"v":[0.5,0.5]}', "2 values for 1 agents"),
-            ('{"S": [1, 2], "v": {"1": 0.5}}', "keyed exactly by the coalition members"),
+            ('{"S": [1, 2], "v": {"1": 0.5}}', '"S" and "v" must be lists'),
             ('{"S":[1],"v":[0.5]', "not a sample record"),
             ('{"S":[1]}', "not a sample record: KeyError('v')"),
             ("[1, 2]", "not a sample record"),
+            ('{"S":5,"v":[0.5]}', '"S" and "v" must be lists'),
+            ('{"S":[1],"v":5}', '"S" and "v" must be lists'),
+            ('{"S":[1],"v":[null]}', "not every value in [None] is a number"),
+            ('{"S":[1],"v":[[1]]}', "not every value in [[1]] is a number"),
+            ('{"S":[1],"v":[{}]}', "not every value in [{}] is a number"),
+            ('{"S":[1],"v":[true]}', "not every value in [True] is a number"),
+            ('{"S":[1,2],"v":[0.5,"1/0"]}', "not every value in [0.5, '1/0'] is a number"),
+            ('{"S":[1],"v":["abc"]}', "not every value in ['abc'] is a number"),
         ],
     )
     def test_names_file_and_line(self, tmp_path, line, words):
@@ -326,18 +352,6 @@ class TestSampleRoundTrip:
             for r in records
         ]
         assert [_signature(r) for r in back] == expected
-
-    @settings(max_examples=150, deadline=None)
-    @given(_sample_sets(), st.integers(1, 4))
-    def test_dict_keyed_layout_reads_as_before(self, tmp_path_factory, records, cap):
-        text = dict_keyed_sample_lines((r.coalition.mask, r.member_values) for r in records)
-        path = tmp_path_factory.mktemp("old") / "s.jsonl"
-        path.write_text(text)
-        with mock.patch.object(eio, "MEMO_CAP", cap):
-            back = eio.read_samples(path)
-        assert [_signature(r) for r in back] == [
-            _pair_signature(mask, values) for mask, values in read_dict_keyed_samples(text)
-        ]
 
     def test_more_distinct_floats_than_the_cap(self, tmp_path):
         rng = random.Random(4)

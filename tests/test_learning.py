@@ -56,8 +56,10 @@ class TestSampleRecord:
             SampleRecord(Coalition.of(0, 3), values)
 
     def test_keys_equal_to_members_accepted(self):
-        # As with set equality: 3.0 == 3 and True == 1.
-        SampleRecord(Coalition.of(1, 3), {True: 0.5, 3.0: 0.5})
+        # Only int keys are member ids: 3.0 == 3 and True == 1, yet both are refused,
+        # since the learners index lists by these keys.
+        with pytest.raises(ValueError, match="keyed exactly by the coalition members"):
+            SampleRecord(Coalition.of(1, 3), {True: 0.5, 3.0: 0.5})
 
     def test_slotted_and_frozen(self):
         rec = SampleRecord(Coalition.of(0), {0: 1.0})
@@ -78,7 +80,7 @@ class TestSampleRecord:
     )
     def test_accepts_exactly_what_set_equality_accepts(self, mask, keys):
         values = dict.fromkeys(keys, 0.5)
-        expected_ok = set(values) == set(members_of(mask))
+        expected_ok = set(values) == set(members_of(mask)) and all(type(k) is int for k in values)
         try:
             SampleRecord(Coalition(mask), values)
         except ValueError:

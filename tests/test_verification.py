@@ -75,7 +75,9 @@ class TestExactBlocking:
         assert report.witnesses == (Coalition.of(0, 1),)
 
     @pytest.mark.parametrize(
-        "game", [LearnedAnonymous(4), SimpleNamespace(n=4)], ids=["learned-view", "foreign"]
+        "game",
+        [LearnedAnonymous(4), SimpleNamespace(n=4), lambda c: True],
+        ids=["learned-view", "foreign", "callable"],
     )
     @pytest.mark.parametrize(
         "call",
@@ -91,7 +93,7 @@ class TestExactBlocking:
         ids=["predicate", "has_blocker", "exact", "gr", "mass", "mc", "core_search"],
     )
     def test_non_game_is_a_type_error(self, call, game):
-        # a learned view or a foreign object is refused alike, by every entry point
+        # a learned view, a foreign object or a callable is refused alike, by every entry point
         with pytest.raises(TypeError, match="cannot enumerate blockers of"):
             call(game, Partition.singletons(4))
 
@@ -293,8 +295,9 @@ class TestMcBlocking:
             assert abs(est.p_hat - exact) <= est.ci_halfwidth
 
     def test_oracle_callable(self):
-        d = UniformCoalitions(5)
-        est = mc_blocking(lambda c: c.size == 2, None, d, 5000, seed=9)
+        # Every agent values size 2 alone, so the singletons' blockers are exactly the pairs.
+        g = AnonymousHG([[0, 1, 0, 0, 0]] * 5)
+        est = mc_blocking(g, Partition.singletons(5), UniformCoalitions(5), 5000, seed=9)
         assert est.p_hat == pytest.approx(10 / 31, abs=0.03)
 
     def test_seeded_determinism(self):
