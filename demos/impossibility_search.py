@@ -33,11 +33,11 @@ if not result.found:
     sys.exit(0)
 
 print(f"empty core found at attempt {result.attempts}")
-print(f"peaks: {result.certificate.peaks}")
+print(f"peaks: {tuple(row.index(max(row)) + 1 for row in result.game.table())}")
 assert certify_empty_core(result.game)
 
 BASE_N, N = 7, 9
-extended, certificate = extend_anon_sp(result.game, N)
+extended, _ = extend_anon_sp(result.game, N)
 family = adversarial_family(N, BASE_N)
 print(f"\nextended to n={N}; adversarial family holds {len(family)} coalitions")
 

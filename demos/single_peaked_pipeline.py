@@ -31,10 +31,10 @@ window = size_interval(float(mean_size(dist)), 1, EPS, N)
 print(f"window from the true mean: ({window.lo:.2f}, {window.hi:.2f}), sizes {window.sizes}\n")
 
 for seed in (1, 2, 3):
-    game, certificate = random_anon_sp(N, seed)
-    partition, trace = stabilize_single_peaked(game, certificate, window)
+    game, ordering = random_anon_sp(N, seed)
+    partition, trace = stabilize_single_peaked(game, ordering, window)
     print(f"seed {seed}:")
-    print(f"  peaks            : {certificate.peaks}")
+    print(f"  peaks            : {tuple(row.index(max(row)) + 1 for row in game.table())}")
     print(f"  chosen size s*   : {trace.s_star} (position {trace.h_star} of the window)")
     print(f"  camps (|<|,|=|,|>|): {len(trace.peaked_before)}, "
           f"{len(trace.peaked_at)}, {len(trace.peaked_after)}")

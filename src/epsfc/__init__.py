@@ -37,9 +37,8 @@ from .games import (
     Partition,
     PartitionCheck,
     SimpleFHG,
-    SinglePeakedCertificate,
-    SinglePeakedViolation,
     blocks,
+    check_ordering,
     check_single_peaked,
     is_individually_rational,
     validate_partition,

@@ -34,12 +34,7 @@ from .errors import (
     LearningError,
     PartitionError,
 )
-from .games import (
-    AnonymousHG,
-    SimpleFHG,
-    SinglePeakedCertificate,
-    check_single_peaked,
-)
+from .games import AnonymousHG, SimpleFHG, check_ordering, check_single_peaked
 from .instances import (
     extend_anon_sp,
     extend_fhg,
@@ -70,6 +65,8 @@ EXIT_GUARD = 3
 EXIT_LEARNING = 4
 EXIT_VIOLATION = 5
 
+_CLASSES = ["fhg", "anon", "anon-sp"]
+
 
 class UsageError(EpsfcError):
     pass
@@ -91,7 +88,7 @@ def _load_dist(spec: str | None, n: int):
 
 
 def _random_game(klass: str, n: int, p, seed):
-    """A seeded random game of ``klass`` and, for anon-sp, its certificate."""
+    """A seeded random game of ``klass`` and, for anon-sp, its size ordering."""
     if klass == "fhg":
         return random_fhg(n, p, seed), None
     if klass == "anon":
@@ -108,17 +105,16 @@ def cmd_gen(args) -> int:
         base = eio.load_game(args.base).game
         provenance["base_n"] = base.n
         if klass == "fhg":
-            game, cert = extend_fhg(base, args.n), None
+            game, ordering = extend_fhg(base, args.n), None
         else:
-            game, cert = extend_anon_sp(base, args.n)
+            game, ordering = extend_anon_sp(base, args.n)
     else:
         if klass == "fhg":
             if args.p is None or not 0 <= args.p <= 1:
                 raise UsageError("--p in [0, 1] is required for fhg-random")
             provenance["p"] = args.p
-        game, cert = _random_game(klass, args.n, args.p, args.seed)
-    sp_ordering = cert.ordering if cert else None
-    eio.save_game(args.out, game, sp_ordering=sp_ordering, provenance=provenance)
+        game, ordering = _random_game(klass, args.n, args.p, args.seed)
+    eio.save_game(args.out, game, sp_ordering=ordering, provenance=provenance)
     print(f"wrote {args.kind} game with n={game.n} to {args.out}")
     return EXIT_OK
 
@@ -132,7 +128,7 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _stabilize(klass: str, view, dist, eps: float, lam: float, alpha, certificate):
+def _stabilize(klass: str, view, dist, eps: float, lam: float, alpha, ordering):
     """Run the stabilizer of ``klass`` on ``view``.
 
     The anonymous classes pick their size window here: a learned table
@@ -149,18 +145,7 @@ def _stabilize(klass: str, view, dist, eps: float, lam: float, alpha, certificat
         raise EmptyIntervalError(f"no integer size falls in ({window.lo:.3f}, {window.hi:.3f})")
     if klass == "anon":
         return stabilize_anonymous(view, window)
-    return stabilize_single_peaked(view, certificate, window)
-
-
-def _parse_ordering(text: str, n: int) -> tuple[int, ...]:
-    try:
-        ordering = tuple(json.loads(text))
-        valid = all(type(s) is int for s in ordering) and sorted(ordering) == list(range(1, n + 1))
-    except (TypeError, ValueError):
-        valid = False
-    if not valid:
-        raise UsageError(f"--ordering {text!r} is not a JSON list permuting the sizes 1..{n}")
-    return ordering
+    return stabilize_single_peaked(view, ordering, window)
 
 
 def _check_class(klass: str, game) -> None:
@@ -184,23 +169,19 @@ def cmd_stabilize(args) -> int:
         learn = learn_fhg if klass == "fhg" else learn_anonymous
         view = learn(args.n, eio.stream_samples(args.samples, n=args.n))
     dist = _load_dist(args.dist, view.n) if loaded is not None and klass != "fhg" else None
-    certificate = None
-    if klass == "anon-sp":
-        if args.ordering:
-            ordering = _parse_ordering(args.ordering, view.n)
-        elif loaded is not None and loaded.sp_ordering:
-            ordering = loaded.sp_ordering
-        else:
-            ordering = tuple(range(1, view.n + 1))
-        if loaded is not None:
-            certificate = check_single_peaked(view, ordering)
-            if not isinstance(certificate, SinglePeakedCertificate):
-                raise UsageError(f"game is not single-peaked along the ordering: {certificate}")
-        else:
-            # Sample-driven runs trust the declared ordering; a partial
-            # table cannot be certified.
-            certificate = SinglePeakedCertificate(ordering, ())
-    partition, trace = _stabilize(klass, view, dist, args.eps, args.lam, args.alpha, certificate)
+    ordering = loaded.sp_ordering if loaded is not None else None
+    if klass == "anon-sp" and args.ordering:
+        try:
+            ordering = check_ordering(json.loads(args.ordering), view.n)
+        except ValueError:
+            raise UsageError(f"--ordering {args.ordering!r} is not a JSON list "
+                             f"permuting the sizes 1..{view.n}") from None
+    if klass == "anon-sp" and loaded is not None:
+        ordering = check_single_peaked(view, ordering)
+    elif ordering is None:
+        # Sample-driven runs trust the ordering; a partial table cannot be checked.
+        ordering = tuple(range(1, view.n + 1))
+    partition, trace = _stabilize(klass, view, dist, args.eps, args.lam, args.alpha, ordering)
     eio.save_partition(args.out, partition)
     print(f"wrote partition with {len(partition)} blocks to {args.out}")
     if args.trace:
@@ -298,43 +279,71 @@ EXPERIMENT_COLUMNS = [
 ]
 
 
-def _experiment_cells(config: dict) -> list[tuple]:
-    """The grid as (index, n, p, seed) cells; p is None outside fhg."""
+_INT = (lambda v: type(v) is int, "an int")
+_NUMBER = (lambda v: type(v) in (int, float) and v == v, "a number")
+# Every experiment config key, its default, and a test on one value with its
+# name; the grid keys, whose defaults are lists, fan out and also take a list.
+_EXPERIMENT_KEYS = {
+    "class": ("fhg", (lambda v: v in _CLASSES, f"one of {_CLASSES}")),
+    "n": ([10], _INT),
+    "p": ([0.5], _NUMBER),
+    "seeds": ([0], _INT),
+    "eps": (0.1, _NUMBER),
+    "delta": (0.1, _NUMBER),
+    "lambda": (1.0, _NUMBER),
+    "alpha": (None, _NUMBER),
+    "learn": (False, (lambda v: type(v) is bool, "true or false")),
+    "mc": (0, _INT),
+    "seed": (0, _INT),
+}
 
-    def as_list(v):
-        return v if isinstance(v, list) else [v]
 
-    ns = as_list(config.get("n", 10))
-    ps = as_list(config.get("p", 0.5)) if config.get("class", "fhg") == "fhg" else [None]
-    seeds = as_list(config.get("seeds", [0]))
-    return [(index, *cell) for index, cell in enumerate(itertools.product(ns, ps, seeds))]
+def _read_config(path, seed) -> dict:
+    """The experiment config at ``path`` with every key present and each grid
+    key a list; a missing or null key takes its default, and ``seed``, unless
+    None, replaces the root seed."""
+    config = json.loads(Path(path).read_text())
+    if not isinstance(config, dict):
+        raise UsageError(f"{path}: an experiment config is a JSON object, not {config!r}")
+    if seed is not None:
+        config["seed"] = seed
+    checked = {}
+    for key, (default, (ok, kind)) in _EXPERIMENT_KEYS.items():
+        value = config.pop(key, None)
+        grid = type(default) is list
+        values = value if grid and type(value) is list else [value]
+        if value is not None and not all(ok(v) for v in values):
+            kind += " or a list of them" * grid
+            raise UsageError(f"{path}: {key!r} is {value!r}, not {kind}")
+        checked[key] = default if value is None else values if grid else value
+    if config:
+        raise UsageError(f"{path}: unknown keys {sorted(config)}; known: {list(_EXPERIMENT_KEYS)}")
+    return checked
 
 
 def _run_cell(config: dict, cell: tuple) -> dict:
     index, n, p, seed = cell
-    klass = config.get("class", "fhg")
-    root_seed = config.get("seed", 0)
-    delta = config.get("delta", 0.1)
-    lam, eps = config.get("lambda", 1.0), config.get("eps", 0.1)
+    klass, root_seed, delta = config["class"], config["seed"], config["delta"]
+    lam, eps = config["lambda"], config["eps"]
     row = dict.fromkeys(EXPERIMENT_COLUMNS, "")
     row.update({"cell": index, "class": klass, "n": n, "seed": seed, "status": "ok"})
     row["p"] = "" if p is None else p
     try:
         row["eps_floor"] = f"{choose_epsilon_floor(n, lam, klass):.6g}"
-        game, certificate = _random_game(klass, n, p, _sub_seed(root_seed, "gen", index, seed))
+        game, ordering = _random_game(klass, n, p, _sub_seed(root_seed, "gen", index, seed))
         dist = UniformCoalitions(n)
         view = game
-        if config.get("learn", False):
+        if config["learn"]:
             rng = random.Random(_sub_seed(root_seed, "sample", index, seed))
             if klass == "fhg":
                 learn, m = learn_fhg, fhg_sample_size(n, delta)
             else:
                 learn, m = learn_anonymous, anon_sample_size(n, delta, eps, lam)
             view = learn(n, iter_samples(game, dist, m, rng))
-        partition, _ = _stabilize(klass, view, dist, eps, lam, config.get("alpha"), certificate)
+        partition, _ = _stabilize(klass, view, dist, eps, lam, config["alpha"], ordering)
         report = exact_blocking(game, partition, dist=dist)
         estimate = None
-        if config.get("mc", 0):
+        if config["mc"]:
             mc_seed = _sub_seed(root_seed, "mc", index, seed)
             estimate = mc_blocking(game, partition, dist, config["mc"], delta, seed=mc_seed)
         row.update(_blocking_fields(report, estimate))
@@ -348,15 +357,16 @@ def cmd_experiment(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = min(args.jobs, os.cpu_count() or 1)
-    config = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        config["seed"] = args.seed
+    config = _read_config(args.config, args.seed)
     done: set[str] = set()
     out = Path(args.out)
     if out.exists():
         with open(out, newline="") as fh:
             done = {line.get("cell") for line in csv.DictReader(fh)}
-    pending = [c for c in _experiment_cells(config) if str(c[0]) not in done]
+    # (index, n, p, seed) cells; p is None outside fhg
+    ps = config["p"] if config["class"] == "fhg" else [None]
+    cells = enumerate(itertools.product(config["n"], ps, config["seeds"]))
+    pending = [(index, *cell) for index, cell in cells if str(index) not in done]
     run = functools.partial(_run_cell, config)
     failed = 0
 
@@ -402,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("stabilize", help="build a low-blocking partition")
-    p.add_argument("--class", dest="klass", required=True, choices=["fhg", "anon", "anon-sp"])
+    p.add_argument("--class", dest="klass", required=True, choices=_CLASSES)
     p.add_argument("--game", help="exact game input")
     p.add_argument("--samples", help="sample-file input (learning phase first)")
     p.add_argument("--n", type=int, help="agent count (required with --samples)")
@@ -420,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True)
     p.add_argument("--dist", help="distribution spec file or inline JSON")
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p.add_argument("--class", dest="klass", choices=["fhg", "anon", "anon-sp"])
+    p.add_argument("--class", dest="klass", choices=_CLASSES)
     p.add_argument("--mc", type=int, default=100_000, help="sample count for mc mode")
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)

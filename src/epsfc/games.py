@@ -10,7 +10,9 @@ unweighted digraph; those values are exact rationals because core-blocking
 is defined through strict inequalities and float ties would corrupt blocking
 counts. In an anonymous game each agent values a coalition by its size only;
 values are kept exactly as stored and never combined arithmetically, so
-comparisons are exact as well.
+comparisons are exact as well. A single-peaked ordering is a plain tuple of
+the sizes 1..n: ``check_single_peaked`` returns it once every agent's values
+are unimodal along it, and raises otherwise.
 """
 
 from __future__ import annotations
@@ -315,51 +317,34 @@ def is_individually_rational(game, partition: Partition) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SinglePeakedCertificate:
-    """Witness that valuations are unimodal along ``ordering``.
-
-    ``ordering`` lists the sizes 1..n in the certified order; ``peaks[i]`` is
-    the size (not position) at which agent i's valuation peaks.
-    """
-
-    ordering: tuple[int, ...]
-    peaks: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SinglePeakedViolation:
-    """First place the unimodality check fails: agent ``agent``'s value rises
-    from position ``h`` to position ``k`` of the ordering after having fallen
-    (positions are 1-based)."""
-
-    agent: int
-    h: int
-    k: int
+def check_ordering(ordering, n: int) -> tuple[int, ...]:
+    """``ordering`` as a tuple, once it lists each size 1..n exactly once as an int."""
+    try:
+        order = tuple(ordering)
+        ok = all(type(s) is int for s in order) and sorted(order) == list(range(1, n + 1))
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"ordering {ordering!r} is not a permutation of the sizes 1..{n}")
+    return order
 
 
-def check_single_peaked(game: AnonymousHG, ordering: Sequence[int] | None = None):
-    """Certify unimodality of every agent's valuation along ``ordering``.
+def check_single_peaked(game: AnonymousHG, ordering=None) -> tuple[int, ...]:
+    """The ordering (1..n when None), once every agent's values are unimodal along it.
 
-    Defaults to the natural ordering 1..n. Returns a SinglePeakedCertificate
-    carrying per-agent peak sizes, or the first SinglePeakedViolation found.
+    Raises ValueError naming the first agent whose value falls and then rises
+    again, and the two 1-based positions of the ordering where it rises.
     """
     n = game.n
-    if ordering is None:
-        order = tuple(range(1, n + 1))
-    else:
-        order = tuple(ordering)
-        if not all(type(s) is int for s in order) or sorted(order) != list(range(1, n + 1)):
-            raise ValueError("ordering must be a permutation of the sizes 1..n")
-    peaks = []
+    order = tuple(range(1, n + 1)) if ordering is None else check_ordering(ordering, n)
     for i in range(n):
         seq = [game.value_of_size(i, s) for s in order]
         fell = False
         for pos in range(1, n):
-            if seq[pos] > seq[pos - 1]:
-                if fell:
-                    return SinglePeakedViolation(i, pos, pos + 1)
-            elif seq[pos] < seq[pos - 1]:
-                fell = True
-        peaks.append(order[seq.index(max(seq))])
-    return SinglePeakedCertificate(order, tuple(peaks))
+            fell = fell or seq[pos] < seq[pos - 1]
+            if fell and seq[pos] > seq[pos - 1]:
+                raise ValueError(
+                    f"not single-peaked: agent {i}'s value along the ordering {order} "
+                    f"falls and then rises from position {pos} to {pos + 1}"
+                )
+    return order

@@ -5,6 +5,9 @@ empty core and a small always-relevant coalition family: the fractional
 extension glues a fresh clique beside the base graph with no cross arcs, and
 the single-peaked extension pushes all new sizes below every base agent's
 current minimum while giving the new agents strictly size-increasing values.
+Both single-peaked constructions return the game with its ordering, the
+tuple of sizes that ``check_single_peaked`` returns for it; that call is
+their self-check, since it raises on a game that is not single-peaked.
 """
 
 from __future__ import annotations
@@ -12,14 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .games import (
-    AnonymousHG,
-    Coalition,
-    Partition,
-    SimpleFHG,
-    SinglePeakedCertificate,
-    check_single_peaked,
-)
+from .games import AnonymousHG, Coalition, Partition, SimpleFHG, check_single_peaked
 from .limits import check_bell_guard, check_subset_guard
 from .verification import certify_empty_core, partition_from_assignment
 
@@ -65,8 +61,9 @@ def random_anon(n: int, seed) -> AnonymousHG:
     return AnonymousHG([[rng.random() for _ in range(n)] for _ in range(n)])
 
 
-def random_anon_sp(n: int, seed) -> tuple[AnonymousHG, SinglePeakedCertificate]:
-    """Anonymous game single-peaked in the natural ordering.
+def random_anon_sp(n: int, seed) -> tuple[AnonymousHG, tuple[int, ...]]:
+    """Anonymous game single-peaked in the natural ordering, with that
+    ordering 1..n as ``check_single_peaked`` returns it.
 
     Each agent draws a peak uniformly from [1, n] and n distinct values; the
     largest sits at the peak and the rest are split at random between the
@@ -85,10 +82,7 @@ def random_anon_sp(n: int, seed) -> tuple[AnonymousHG, SinglePeakedCertificate]:
         # sizes 1 .. peak-1 rise to the peak, sizes peak+1 .. n fall from it
         table.append(sorted(rest[: peak - 1]) + [top] + sorted(rest[peak - 1 :], reverse=True))
     game = AnonymousHG(table)
-    certificate = check_single_peaked(game)
-    if not isinstance(certificate, SinglePeakedCertificate):
-        raise AssertionError(f"generator produced a non-unimodal row: {certificate}")
-    return game, certificate
+    return game, check_single_peaked(game)
 
 
 def random_partition(n: int, seed) -> Partition:
@@ -108,7 +102,6 @@ class EmptyCoreSearch:
     """Outcome of the rejection search for an empty-core instance."""
 
     game: AnonymousHG | None
-    certificate: SinglePeakedCertificate | None
     attempts: int
 
     @property
@@ -128,10 +121,10 @@ def find_empty_core_sp(
     check_bell_guard(n)
     root = _rng_of(seed)
     for attempt in range(1, max_attempts + 1):
-        game, certificate = random_anon_sp(n, root.getrandbits(64))
+        game, _ = random_anon_sp(n, root.getrandbits(64))
         if certify_empty_core(game):
-            return EmptyCoreSearch(game, certificate, attempt)
-    return EmptyCoreSearch(None, None, max_attempts)
+            return EmptyCoreSearch(game, attempt)
+    return EmptyCoreSearch(None, max_attempts)
 
 
 def extend_fhg(base: SimpleFHG, n: int) -> SimpleFHG:
@@ -149,18 +142,15 @@ def extend_fhg(base: SimpleFHG, n: int) -> SimpleFHG:
     return SimpleFHG(n, masks)
 
 
-def extend_anon_sp(
-    base: AnonymousHG, n: int
-) -> tuple[AnonymousHG, SinglePeakedCertificate]:
-    """Single-peaked extension in the natural ordering.
+def extend_anon_sp(base: AnonymousHG, n: int) -> tuple[AnonymousHG, tuple[int, ...]]:
+    """Single-peaked extension in the natural ordering, with that ordering.
 
     Base agents keep their values on the base sizes and rank every new size
     strictly below their current minimum, decreasing in size; new agents get
-    strictly increasing values, peaking at the grand size.
+    strictly increasing values, peaking at the grand size. A base that is not
+    single-peaked in the natural ordering is refused with a ValueError.
     """
-    base_check = check_single_peaked(base)
-    if not isinstance(base_check, SinglePeakedCertificate):
-        raise ValueError(f"base game is not single-peaked in the natural ordering: {base_check}")
+    check_single_peaked(base)
     if n <= base.n:
         raise ValueError(f"extension size {n} must exceed the base size {base.n}")
     table = []
@@ -172,10 +162,7 @@ def extend_anon_sp(
     for _ in range(base.n, n):
         table.append([float(s) for s in range(1, n + 1)])
     game = AnonymousHG(table)
-    certificate = check_single_peaked(game)
-    if not isinstance(certificate, SinglePeakedCertificate):
-        raise AssertionError("extension broke unimodality")
-    return game, certificate
+    return game, check_single_peaked(game)
 
 
 def adversarial_family(n: int, base_n: int) -> list[Coalition]:

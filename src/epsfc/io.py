@@ -63,8 +63,22 @@ def _field(d, key: str, what: str, build=None):
     value ``build`` cannot take (a TypeError, "1/0") is a ValueError naming it."""
     try:
         return d[key] if build is None else build(d[key])
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ArithmeticError) as exc:
         raise ValueError(f'{what}: "{key}" is missing or malformed: {exc}') from None
+
+
+# What one number of a file may be: a test on the JSON value, and its name.
+_BIT = (lambda v: type(v) is int and v in (0, 1), "the int 0 or 1")
+_REAL = (lambda v: type(v) in (int, float) and v == v, "an int or a float other than NaN")
+_RATIO = (lambda v: type(v) is not bool, 'a number or a "p/q" string')
+
+
+def _each(values, ok, kinds: str):
+    """``values`` if ``ok`` holds for each, else a TypeError for ``_field`` to report."""
+    for v in values:
+        if not ok(v):
+            raise TypeError(f"{v!r} is not {kinds}")
+    return values
 
 
 def _fraction_to_json(x: Fraction):
@@ -89,9 +103,10 @@ def game_to_dict(game, sp_ordering=None, provenance=None) -> dict:
 def game_from_dict(d: dict) -> GameFile:
     kind = _field(d, "kind", "game")
     if kind == "fhg":
-        game = _field(d, "adj", "game", SimpleFHG.from_matrix)
+        game = _field(d, "adj", "game",
+                      lambda rows: SimpleFHG.from_matrix([_each(r, *_BIT) for r in rows]))
     elif kind == "anon":
-        game = _field(d, "vals", "game", AnonymousHG)
+        game = _field(d, "vals", "game", lambda rows: AnonymousHG([_each(r, *_REAL) for r in rows]))
     else:
         raise ValueError(f"unknown game kind {kind!r}")
     n = d.get("n")
@@ -162,13 +177,14 @@ def distribution_from_dict(d: dict, n: int):
     if kind == "uniform":
         return UniformCoalitions(n)
     if kind == "size_tilted":
-        return _field(d, "g", "distribution", lambda g: SizeTilted(n, g))
+        return _field(d, "g", "distribution", lambda g: SizeTilted(n, _each(g, *_RATIO)))
     if kind == "family":
         support = _field(d, "support", "distribution", lambda f: _agents(f, n, "family support"))
         return FamilyUniform(support, n)
     if kind == "adversarial":
         family = _field(d, "family", "distribution", lambda f: _agents(f, n, "adversarial family"))
-        return _field(d, "lambda", "distribution", lambda lam: AdversarialBounded(family, n, lam))
+        return _field(d, "lambda", "distribution",
+                      lambda lam: AdversarialBounded(family, n, *_each([lam], *_RATIO)))
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 

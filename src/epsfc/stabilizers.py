@@ -13,9 +13,9 @@ cut stays within [0, n-1]). Thresholds can be injected explicitly to
 exercise regimes the clamped defaults cannot reach below n ~ 30000.
 
 The anonymous builders take their size window as any iterable of sizes or
-a SizeInterval. The single-peaked refinement sizes its blocks at the upper
-median of the agents' restricted-peak positions along the certificate
-ordering.
+a SizeInterval. The single-peaked refinement takes the ordering of sizes as
+a plain tuple, checks it is a permutation of 1..n, and sizes its blocks at
+the upper median of the agents' restricted-peak positions along it.
 
 All tie-breaks resolve by ascending agent id, then ascending size.
 """
@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EmptyIntervalError, LearningError
-from .games import Coalition, Partition, SimpleFHG, SinglePeakedCertificate, bits_of
+from .games import Coalition, Partition, SimpleFHG, bits_of, check_ordering
 from .verification import audit_green_anonymous
 
 __all__ = [
@@ -164,8 +164,8 @@ def _clique_branch(game, degrees, th):
 class AnonStabilizerTrace:
     """Choices made while packing agents into preferred-size blocks.
 
-    The single-peaked variant also records the window ordered by the
-    certificate, the chosen position, and the three camps (agents whose
+    The single-peaked variant also records the window ranked by the
+    ordering, the chosen position, and the three camps (agents whose
     restricted peak falls before / at / after the chosen size) plus their
     members that landed in full-size blocks.
     """
@@ -235,30 +235,30 @@ def stabilize_anonymous(view, interval) -> tuple[Partition, AnonStabilizerTrace]
     return partition, trace
 
 
-def stabilize_single_peaked(
-    view, certificate: SinglePeakedCertificate, interval
-) -> tuple[Partition, AnonStabilizerTrace]:
+def stabilize_single_peaked(view, ordering, interval) -> tuple[Partition, AnonStabilizerTrace]:
     """Single-peaked refinement of the preferred-size packing.
 
-    ``interval`` is any iterable of sizes or a SizeInterval. The window's
-    sizes are ranked by the certificate ordering; restricting single-peaked
+    ``ordering`` lists the sizes 1..n, each once; a partial learned table
+    cannot be checked for single-peakedness along it, so it is taken on
+    trust. ``interval`` is any iterable of sizes or a SizeInterval. The
+    window's sizes are ranked by the ordering; restricting single-peaked
     preferences to the window keeps them single-peaked, so each agent has a
     well-defined restricted peak position. The chosen position h* is the
     highest one such that at most half the agents peak strictly before it,
-    which is the upper median of the peak positions, ``sorted(peaks)[n // 2]``
-    (every position qualifies when n = 0, so h* is the last one). Agents
-    peaking exactly at h* get priority for the full-size blocks, landing in
-    the remainder block only if every full block is made of them.
+    which is the upper median of the peak positions, ``sorted(peaks)[n // 2]``.
+    Agents peaking exactly at h* get priority for the full-size blocks,
+    landing in the remainder block only if every full block is made of them.
     """
-    sizes = _window(view, interval)
     n = view.n
-    ordered_sizes = tuple(s for s in certificate.ordering if s in sizes)
+    ordering = check_ordering(ordering, n)
+    sizes = _window(view, interval)
+    ordered_sizes = tuple(s for s in ordering if s in sizes)
     missing = [s for s in sizes if s not in ordered_sizes]
     if missing:
-        raise ValueError(f"ordering {certificate.ordering} lacks the window sizes {missing}")
+        raise ValueError(f"ordering {ordering} lacks the window sizes {missing}")
     position = {s: h for h, s in enumerate(ordered_sizes)}
     peak_pos = [position[_restricted_peak(view, i, sizes)] for i in range(n)]
-    h_star = sorted(peak_pos)[n // 2] if n else len(ordered_sizes) - 1
+    h_star = sorted(peak_pos)[n // 2]
     s_star = ordered_sizes[h_star]
     before = tuple(i for i, p in enumerate(peak_pos) if p < h_star)
     at = tuple(i for i, p in enumerate(peak_pos) if p == h_star)

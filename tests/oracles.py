@@ -5,8 +5,10 @@ enumeration machinery with the package: plain nested loops, per-coalition
 recomputation, and Fraction arithmetic. Keep it that way.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 
 def members_of(mask):
@@ -293,3 +295,58 @@ def reference_stabilize_single_peaked(view, ordering, interval):
     }
     return masks, trace
 
+
+
+# The single-peakedness check as it stood when it returned one of two result
+# types, kept verbatim (its two types renamed) to cross-check the
+# tuple-or-raise ``check_single_peaked`` that replaced it.
+
+
+@dataclass(frozen=True)
+class ReferenceCertificate:
+    """Witness that valuations are unimodal along ``ordering``.
+
+    ``ordering`` lists the sizes 1..n in the certified order; ``peaks[i]`` is
+    the size (not position) at which agent i's valuation peaks.
+    """
+
+    ordering: tuple[int, ...]
+    peaks: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class ReferenceViolation:
+    """First place the unimodality check fails: agent ``agent``'s value rises
+    from position ``h`` to position ``k`` of the ordering after having fallen
+    (positions are 1-based)."""
+
+    agent: int
+    h: int
+    k: int
+
+
+def reference_check_single_peaked(game, ordering: Sequence[int] | None = None):
+    """Certify unimodality of every agent's valuation along ``ordering``.
+
+    Defaults to the natural ordering 1..n. Returns a ReferenceCertificate
+    carrying per-agent peak sizes, or the first ReferenceViolation found.
+    """
+    n = game.n
+    if ordering is None:
+        order = tuple(range(1, n + 1))
+    else:
+        order = tuple(ordering)
+        if not all(type(s) is int for s in order) or sorted(order) != list(range(1, n + 1)):
+            raise ValueError("ordering must be a permutation of the sizes 1..n")
+    peaks = []
+    for i in range(n):
+        seq = [game.value_of_size(i, s) for s in order]
+        fell = False
+        for pos in range(1, n):
+            if seq[pos] > seq[pos - 1]:
+                if fell:
+                    return ReferenceViolation(i, pos, pos + 1)
+            elif seq[pos] < seq[pos - 1]:
+                fell = True
+        peaks.append(order[seq.index(max(seq))])
+    return ReferenceCertificate(order, tuple(peaks))

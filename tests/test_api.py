@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import epsfc
-from epsfc import Coalition, FamilyUniform, Partition, SimpleFHG, distributions
+from epsfc import Coalition, FamilyUniform, Partition, SimpleFHG, distributions, games
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(epsfc.__path__) if m.name != "__main__")
 
@@ -44,6 +44,9 @@ def test_package_imports_exist():
         (Coalition, "from_members"),
         (Partition, "from_blocks"),
         (SimpleFHG, "neighbors_mask"),
+        # the single-peaked result types, now a plain ordering tuple or a ValueError
+        *[(owner, f"SinglePeaked{kind}")
+          for owner in (epsfc, games) for kind in ("Certificate", "Violation")],
     ],
 )
 def test_deleted_alias_stays_deleted(owner, name):

@@ -199,6 +199,16 @@ class TestStabilize:
             assert f"--ordering {ordering!r}" in err and "1..8" in err
         assert not out.exists()
 
+    def test_game_not_single_peaked_names_agent_and_positions(self, tmp_path, capsys):
+        game = tmp_path / "g.json"
+        out = tmp_path / "p.json"
+        run("gen", "--kind", "anon-random", "--n", 12, "--seed", 3, "--out", game)
+        capsys.readouterr()
+        assert run("stabilize", "--class", "anon-sp", "--game", game, "--eps", 0.5, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: not single-peaked: agent 0's value along the ordering (1, 2,")
+        assert err.rstrip().endswith("from position 3 to 4") and not out.exists()
+
     def test_ordering_permutation_accepted(self, tmp_path):
         game = tmp_path / "g.json"
         samples = tmp_path / "s.jsonl"
@@ -322,6 +332,10 @@ class TestMalformedFiles:
         [
             ("game", '{"kind":"anon","vals":[[null]]}', '"vals"'),
             ("game", '{"kind":"fhg","adj":5}', '"adj"'),
+            ("game", '{"kind":"fhg","adj":[[null,1],[true,0]]}', '"adj"'),
+            ("game", '{"kind":"anon","vals":[["0.5",1],[1,0]]}', '"vals"'),
+            ("game", '{"kind":"anon","vals":[[true,1],[1,0]]}', '"vals"'),
+            ("game", '{"kind":"anon","vals":[["nan",1],[1,0]]}', '"vals"'),
             ("game", "[1]", '"kind"'),
             ("game", '{"kind":"anon","vals":[[0,1,0],[0,1,0],[0,1,0]],"sp_ordering":5}', '"sp_ordering"'),
             ("partition", '{"blocks":5}', '"blocks"'),
@@ -330,6 +344,8 @@ class TestMalformedFiles:
             ("dist", '{"kind":"size_tilted","g":[null,1,1]}', '"g"'),
             ("dist", '{"kind":"size_tilted","g":[1,"1/0",1]}', '"g"'),
             ("dist", '{"kind":"adversarial","family":[[1]],"lambda":null}', '"lambda"'),
+            ("dist", '{"kind":"size_tilted","g":[true,1,1]}', '"g"'),
+            ("dist", '{"kind":"adversarial","family":[[1]],"lambda":true}', '"lambda"'),
             ("dist", '{"kind":"family","support":5}', '"support"'),
         ],
     )
@@ -425,6 +441,28 @@ class TestExperiment:
         for jobs in (1, 2):
             assert run("experiment", "--config", cfg, "--out", out, "--jobs", jobs) == 2
         assert out.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("[1]", "JSON object"),
+            ('{"n":"abc"}', "'n' is 'abc'"),
+            ('{"eps":"x","class":"anon"}', "'eps' is 'x'"),
+            ('{"mc":"5"}', "'mc' is '5'"),
+            ('{"sed":3}', "unknown keys ['sed']"),
+            ('{"class":["fhg","anon"]}', "'class' is ['fhg', 'anon']"),
+            ('{"class":"anon-random"}', "'class' is 'anon-random'"),
+        ],
+    )
+    def test_bad_config_refused_before_any_cell(self, tmp_path, monkeypatch, capsys, text, names):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "grid.csv"
+        monkeypatch.setattr(cli, "_run_cell", lambda config, cell: pytest.fail("a cell ran"))
+        assert run("experiment", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {cfg}: ") and names in err
+        assert not out.exists()
 
     def test_failed_cell_recorded_not_fatal(self, tmp_path):
         # n beyond the guard fails the exact census inside the cell

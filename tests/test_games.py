@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -11,8 +13,6 @@ from epsfc import (
     Partition,
     PartitionError,
     SimpleFHG,
-    SinglePeakedCertificate,
-    SinglePeakedViolation,
     UndefinedValuationError,
     blocks,
     check_single_peaked,
@@ -21,6 +21,7 @@ from epsfc import (
     validate_partition,
 )
 from epsfc.instances import random_anon, random_fhg, random_partition
+from oracles import ReferenceCertificate, reference_check_single_peaked
 
 
 def mutual_pair():
@@ -174,31 +175,71 @@ class TestValidatePartition:
         assert not validate_partition(corrupted, n).ok
 
 
+def violation(agent, h, k):
+    """The message of check_single_peaked for ``agent`` rising from position h to k."""
+    return f"^not single-peaked: agent {agent}'s value along the ordering .* from position {h} to {k}$"
+
+
+LEVELS = [0.0, 0.25, 0.5, 1.0]  # few levels, so rows have plateaus and ties
+
+
+@st.composite
+def _sp_checks(draw):
+    """A game of n = 0..9 agents and an ordering to check it along: None, a
+    permutation of 1..n, or an invalid sequence. Each row is unimodal along
+    the permutation (plateaus included), unimodal with a second bump, or
+    arbitrary with NaN allowed."""
+    n = draw(st.integers(0, 9))
+    order = draw(st.permutations(range(1, n + 1)))
+    choice = draw(st.sampled_from(["none", "permutation", "invalid"]))
+    if choice == "none":
+        order, ordering = list(range(1, n + 1)), None
+    elif choice == "permutation":
+        ordering = tuple(order)
+    else:
+        entry = st.one_of(
+            st.integers(-1, n + 1), st.booleans(), st.floats(0, n + 1), st.text(max_size=1)
+        )
+        ordering = draw(st.one_of(st.lists(entry, max_size=n + 2), st.integers(0, 3)))
+    level = st.sampled_from(LEVELS)
+    table = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["unimodal", "bump", "arbitrary"]))
+        if kind == "arbitrary":
+            seq = draw(st.lists(st.sampled_from(LEVELS + [math.nan]), min_size=n, max_size=n))
+        else:
+            peak = draw(st.integers(0, n - 1))
+            seq = sorted(draw(st.lists(level, min_size=peak, max_size=peak)))
+            seq += sorted(draw(st.lists(level, min_size=n - peak, max_size=n - peak)), reverse=True)
+            if kind == "bump":
+                seq[draw(st.integers(0, n - 1))] = 2.0
+        row = [0.0] * n
+        for pos, s in enumerate(order):
+            row[s - 1] = seq[pos]
+        table.append(row)
+    return AnonymousHG(table), ordering
+
+
 class TestSinglePeaked:
     def test_distance_valley(self):
         vals = [[-abs(s - 3) for s in range(1, 6)] for _ in range(5)]
-        cert = check_single_peaked(AnonymousHG(vals))
-        assert isinstance(cert, SinglePeakedCertificate)
-        assert cert.peaks == (3,) * 5
+        assert check_single_peaked(AnonymousHG(vals)) == (1, 2, 3, 4, 5)
 
     def test_increasing_peaks_at_n(self):
         vals = [[float(s) for s in range(1, 5)] for _ in range(4)]
-        cert = check_single_peaked(AnonymousHG(vals))
-        assert isinstance(cert, SinglePeakedCertificate)
-        assert cert.peaks == (4,) * 4
+        assert check_single_peaked(AnonymousHG(vals)) == (1, 2, 3, 4)
 
     def test_two_maxima_rejected(self):
         g = AnonymousHG([[1.0, 0.0, 1.0]] * 3)
-        bad = check_single_peaked(g)
-        assert isinstance(bad, SinglePeakedViolation)
-        assert (bad.h, bad.k) == (2, 3)
+        with pytest.raises(ValueError, match=violation(0, 2, 3)):
+            check_single_peaked(g)
 
     def test_custom_ordering(self):
         # values unimodal along ordering (2, 1, 3): v(2) < v(1) > v(3)
         g = AnonymousHG([[1.0, 0.5, 0.2]] * 3)
-        cert = check_single_peaked(g, ordering=(2, 1, 3))
-        assert isinstance(cert, SinglePeakedCertificate)
-        assert cert.peaks == (1, 1, 1)
+        assert check_single_peaked(g, ordering=[2, 1, 3]) == (2, 1, 3)
+        with pytest.raises(ValueError, match=violation(0, 2, 3)):
+            check_single_peaked(g, ordering=(2, 3, 1))
 
     def test_bad_ordering_rejected(self):
         g = AnonymousHG([[0.0, 0.0], [0.0, 0.0]])
@@ -217,7 +258,7 @@ class TestSinglePeaked:
         for lv, s in zip(levels, ranked):
             row[s - 1] = lv
         good = AnonymousHG([row] * n)
-        assert isinstance(check_single_peaked(good), SinglePeakedCertificate)
+        assert check_single_peaked(good) == tuple(range(1, n + 1))
         if n >= 3:
             # force two strict local maxima at the ends
             bumped = list(row)
@@ -226,8 +267,25 @@ class TestSinglePeaked:
             bumped[-1] = top + 1
             argmax = row.index(max(row))
             if argmax not in (0, n - 1):
-                bad = check_single_peaked(AnonymousHG([bumped] * n))
-                assert isinstance(bad, SinglePeakedViolation)
+                with pytest.raises(ValueError, match="^not single-peaked: agent 0's"):
+                    check_single_peaked(AnonymousHG([bumped] * n))
+
+    @given(_sp_checks())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, case):
+        # raises exactly where the reference finds a violation or refuses the
+        # ordering, naming the same agent and positions; else its ordering
+        game, ordering = case
+        try:
+            expected = reference_check_single_peaked(game, ordering)
+        except (TypeError, ValueError):
+            expected = None
+        if isinstance(expected, ReferenceCertificate):
+            assert check_single_peaked(game, ordering) == expected.ordering
+        else:
+            match = "permutation" if expected is None else violation(*dataclasses.astuple(expected))
+            with pytest.raises(ValueError, match=match):
+                check_single_peaked(game, ordering)
 
 
 class TestGameConstruction:

@@ -5,7 +5,6 @@ import pytest
 from epsfc import (
     AnonymousHG,
     Coalition,
-    SinglePeakedCertificate,
     adversarial_family,
     certify_empty_core,
     check_single_peaked,
@@ -37,26 +36,27 @@ class TestRandomFhg:
             random_fhg(5, 1.5, 0)
 
 
+def peaks_of(game):
+    """Each agent's peak size, read from the table."""
+    return tuple(row.index(max(row)) + 1 for row in game.table())
+
+
 class TestRandomAnonSp:
     def test_trivial_n1(self):
-        g, cert = random_anon_sp(1, 0)
-        assert g.n == 1 and cert.peaks == (1,)
+        g, ordering = random_anon_sp(1, 0)
+        assert g.n == 1 and ordering == (1,) and peaks_of(g) == (1,)
 
     def test_always_certified(self):
         rng = random.Random(1)
         for _ in range(40):
             n = rng.randrange(2, 12)
-            g, cert = random_anon_sp(n, rng.getrandbits(32))
-            checked = check_single_peaked(g)
-            assert isinstance(checked, SinglePeakedCertificate)
-            assert checked.peaks == cert.peaks
+            g, ordering = random_anon_sp(n, rng.getrandbits(32))
+            assert check_single_peaked(g) == ordering == tuple(range(1, n + 1))
 
     def test_values_decrease_away_from_peak(self):
-        g, cert = random_anon_sp(9, 5)
-        for i in range(9):
-            p = cert.peaks[i]
+        g, _ = random_anon_sp(9, 5)
+        for i, p in enumerate(peaks_of(g)):
             row = [g.value_of_size(i, s) for s in range(1, 10)]
-            assert max(row) == row[p - 1]
             left = row[: p - 1] + [row[p - 1]]
             right = row[p - 1 :]
             assert left == sorted(left)
@@ -64,7 +64,7 @@ class TestRandomAnonSp:
             assert len(set(row)) == 9  # distinct values
 
     def test_peaks_vary_across_seeds(self):
-        peaks = {random_anon_sp(7, seed)[1].peaks for seed in range(30)}
+        peaks = {peaks_of(random_anon_sp(7, seed)[0]) for seed in range(30)}
         assert len(peaks) > 10
 
 
@@ -103,8 +103,8 @@ class TestExtendFhg:
 class TestExtendAnonSp:
     def test_preserves_base_values_and_certifies(self):
         base, _ = random_anon_sp(5, 31)
-        ext, cert = extend_anon_sp(base, 8)
-        assert isinstance(check_single_peaked(ext), SinglePeakedCertificate)
+        ext, ordering = extend_anon_sp(base, 8)
+        assert check_single_peaked(ext) == ordering == tuple(range(1, 9))
         for i in range(5):
             for s in range(1, 6):
                 assert ext.value_of_size(i, s) == base.value_of_size(i, s)
@@ -115,12 +115,12 @@ class TestExtendAnonSp:
 
     def test_new_agents_peak_at_n(self):
         base, _ = random_anon_sp(4, 7)
-        ext, cert = extend_anon_sp(base, 9)
-        assert cert.peaks[4:] == (9,) * 5
+        ext, _ = extend_anon_sp(base, 9)
+        assert peaks_of(ext)[4:] == (9,) * 5
 
     def test_non_sp_base_rejected(self):
         bad = AnonymousHG([[1.0, 0.0, 1.0]] * 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="agent 0's value .* from position 2 to 3$"):
             extend_anon_sp(bad, 5)
 
 
@@ -151,16 +151,14 @@ class TestFindEmptyCore:
         assert result.attempts <= 50
         if result.found:
             assert certify_empty_core(result.game)
-            assert isinstance(result.certificate, SinglePeakedCertificate)
+            assert check_single_peaked(result.game) == tuple(range(1, 6))
 
     def test_found_instances_verify(self):
         # any hit must pass the certified sweep and the unimodality check
         result = find_empty_core_sp(n=6, max_attempts=200, seed=3)
         if result.found:
             assert certify_empty_core(result.game)
-            assert isinstance(
-                check_single_peaked(result.game), SinglePeakedCertificate
-            )
+            assert check_single_peaked(result.game) == tuple(range(1, 7))
 
     def test_n_limited(self, monkeypatch):
         # only the Bell guard bounds the search (12 by default)

@@ -35,12 +35,12 @@ class TestGameRoundtrip:
         assert loaded.provenance["seed"] == 3
 
     def test_anonymous_values_bit_exact(self, tmp_path):
-        g, cert = random_anon_sp(6, 9)
+        g, ordering = random_anon_sp(6, 9)
         path = tmp_path / "g.json"
-        eio.save_game(path, g, sp_ordering=cert.ordering)
+        eio.save_game(path, g, sp_ordering=ordering)
         loaded = eio.load_game(path)
         assert loaded.game == g  # exact float round-trip through repr
-        assert loaded.sp_ordering == cert.ordering
+        assert loaded.sp_ordering == ordering
 
     def test_layout_matches_format(self, tmp_path):
         g = random_fhg(3, 1.0, 0)

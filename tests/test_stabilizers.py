@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from epsfc import (
     AnonymousHG,
-    SinglePeakedCertificate,
     EmptyIntervalError,
     FhgThresholds,
     Partition,
@@ -211,17 +210,23 @@ class TestAnonymousMatchesReference:
     @given(_anon_runs())
     def test_single_peaked_packing(self, run):
         game, window, ordering = run
-        cert = SinglePeakedCertificate(ordering, ())
-        partition, trace = stabilize_single_peaked(game, cert, window)
+        if game.n == 0:
+            # an ordering of the sizes 1..3 is not one of the empty size set
+            with pytest.raises(ValueError, match="is not a permutation of the sizes 1..0"):
+                stabilize_single_peaked(game, ordering, window)
+            return
+        partition, trace = stabilize_single_peaked(game, ordering, window)
         masks, fields = reference_stabilize_single_peaked(game, ordering, window)
         assert [b.mask for b in partition.blocks] == masks
         assert dataclasses.asdict(trace) == fields
 
     def test_no_agents_takes_the_last_position(self):
-        # with n = 0 no agent peaks before any position, so every one qualifies
-        cert = SinglePeakedCertificate((3, 1, 2), ())
-        partition, trace = stabilize_single_peaked(AnonymousHG([]), cert, [1, 2, 3])
-        assert (trace.h_star, trace.s_star, len(partition)) == (2, 2, 0)
+        # with n = 0 the only ordering is (), so every window size is missing
+        # from it and no position can be taken
+        with pytest.raises(ValueError, match=r"ordering \(\) lacks the window sizes \[1, 2, 3\]"):
+            stabilize_single_peaked(AnonymousHG([]), (), [1, 2, 3])
+        with pytest.raises(ValueError, match=r"ordering \(3, 1, 2\) is not a permutation"):
+            stabilize_single_peaked(AnonymousHG([]), (3, 1, 2), [1, 2, 3])
 
 
 class TestStabilizeAnonymous:
@@ -284,7 +289,7 @@ class TestStabilizeAnonymous:
         with pytest.raises(EmptyIntervalError):
             stabilize_anonymous(g, [])
         with pytest.raises(EmptyIntervalError):
-            stabilize_single_peaked(g, SinglePeakedCertificate((1, 2, 3, 4), ()), set())
+            stabilize_single_peaked(g, (1, 2, 3, 4), set())
 
     def test_unobserved_window_size(self):
         with pytest.raises(LearningError, match="valuations missing"):
@@ -299,8 +304,7 @@ class TestStabilizeSinglePeaked:
     def test_uniform_peaks_everyone_at_peak(self):
         row = [0.2, 1.0, 0.5, 0.1]
         g = AnonymousHG([row] * 4)
-        cert = check_single_peaked(g)
-        partition, trace = stabilize_single_peaked(g, cert, [1, 2, 3])
+        partition, trace = stabilize_single_peaked(g, check_single_peaked(g), [1, 2, 3])
         assert trace.peaked_before == ()
         assert trace.peaked_at == (0, 1, 2, 3)
         assert trace.s_star == 2 and trace.r == 0
@@ -315,8 +319,7 @@ class TestStabilizeSinglePeaked:
             [0.5, 1.0, 0.3, 0.1],
         ]
         g = AnonymousHG(table)
-        cert = check_single_peaked(g)
-        partition, trace = stabilize_single_peaked(g, cert, [1, 2])
+        partition, trace = stabilize_single_peaked(g, check_single_peaked(g), [1, 2])
         assert trace.h_star == 1 and trace.s_star == 2 and trace.r == 0
         assert trace.peaked_before == (0, 1)
         assert trace.peaked_at == (2, 3)
@@ -328,10 +331,10 @@ class TestStabilizeSinglePeaked:
         rng = random.Random(12)
         for _ in range(25):
             n = rng.randrange(5, 13)
-            g, cert = random_anon_sp(n, rng.getrandbits(32))
+            g, ordering = random_anon_sp(n, rng.getrandbits(32))
             k = rng.randrange(2, n + 1)
             sizes = sorted(rng.sample(range(1, n + 1), k))
-            partition, trace = stabilize_single_peaked(g, cert, sizes)
+            partition, trace = stabilize_single_peaked(g, ordering, sizes)
             assert validate_partition(partition.blocks, n).ok
             if trace.r:
                 remainder = next(b for b in partition.blocks if b.size == trace.r)
@@ -347,9 +350,9 @@ class TestStabilizeSinglePeaked:
         rng = random.Random(77)
         for _ in range(30):
             n = rng.randrange(4, 13)
-            g, cert = random_anon_sp(n, rng.getrandbits(32))
+            g, ordering = random_anon_sp(n, rng.getrandbits(32))
             sizes = list(range(1, n + 1))
-            partition, trace = stabilize_single_peaked(g, cert, sizes)
+            partition, trace = stabilize_single_peaked(g, ordering, sizes)
             assert 2 * len(trace.peaked_before) <= n
             assert 2 * (len(trace.peaked_before) + len(trace.peaked_at)) >= n
             # every at-peak agent in a full block sits at her peak size
@@ -357,10 +360,10 @@ class TestStabilizeSinglePeaked:
                 assert partition.size_of(i) == trace.s_star
 
     def test_deterministic(self):
-        g, cert = random_anon_sp(10, 5)
+        g, ordering = random_anon_sp(10, 5)
         sizes = [2, 3, 4]
-        assert stabilize_single_peaked(g, cert, sizes) == stabilize_single_peaked(
-            g, cert, sizes
+        assert stabilize_single_peaked(g, ordering, sizes) == stabilize_single_peaked(
+            g, ordering, sizes
         )
 
     def test_custom_ordering_positions(self):
@@ -377,10 +380,9 @@ class TestStabilizeSinglePeaked:
                 row[ordering[k] - 1] = lv
             table.append(row)
         g = AnonymousHG(table)
-        cert = check_single_peaked(g, ordering)
-        assert isinstance(cert, SinglePeakedCertificate)
-        partition, trace = stabilize_single_peaked(g, cert, [1, 2, 3, 4])
-        # window sizes must be ranked by the certificate ordering, not naturally
+        assert check_single_peaked(g, ordering) == ordering
+        partition, trace = stabilize_single_peaked(g, ordering, [1, 2, 3, 4])
+        # window sizes must be ranked by the ordering, not naturally
         assert trace.ordered_sizes == ordering
         assert trace.s_star == trace.ordered_sizes[trace.h_star]
         assert validate_partition(partition.blocks, 4).ok
@@ -396,11 +398,11 @@ class TestStabilizeSinglePeaked:
                 assert i in trace.peaked_after
 
     def test_ordering_missing_window_sizes_names_them(self):
+        # an ordering of some sizes only is refused before the window is read
         g, _ = random_anon_sp(8, 3)
-        cert = SinglePeakedCertificate((1, 2, 4), ())
-        missing = r"ordering \(1, 2, 4\) lacks the window sizes \[3, 5\]"
+        missing = r"ordering \(1, 2, 4\) is not a permutation of the sizes 1\.\.8"
         with pytest.raises(ValueError, match=missing):
-            stabilize_single_peaked(g, cert, [2, 3, 4, 5])
+            stabilize_single_peaked(g, (1, 2, 4), [2, 3, 4, 5])
 
 
 class TestStarvation:

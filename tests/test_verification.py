@@ -355,9 +355,9 @@ class TestSpLemmas:
     @pytest.mark.parametrize("seed", range(5))
     def test_construction_passes(self, seed):
         n = 10
-        g, cert = random_anon_sp(n, 400 + seed)
+        g, ordering = random_anon_sp(n, 400 + seed)
         window = self._window(n)
-        partition, trace = stabilize_single_peaked(g, cert, window)
+        partition, trace = stabilize_single_peaked(g, ordering, window)
         report = check_sp_lemmas(g, partition, window, trace)
         assert report.ok
         assert report.blockers_in_window <= report.window_bound
@@ -372,9 +372,9 @@ class TestSpLemmas:
 
     def test_corrupted_partition_reports_witness(self):
         n = 8
-        g, cert = random_anon_sp(n, 77)
+        g, ordering = random_anon_sp(n, 77)
         window = self._window(n)
-        partition, trace = stabilize_single_peaked(g, cert, window)
+        partition, trace = stabilize_single_peaked(g, ordering, window)
         # swap one at-peak agent into the remainder-most block
         if trace.at_in_star and len(partition.blocks) > 1:
             a = trace.at_in_star[0]
@@ -408,8 +408,7 @@ class TestSpLemmas:
     def test_uniform_peaks_no_window_blockers(self):
         row = [0.2, 1.0, 0.6, 0.3, 0.1]
         g = AnonymousHG([row] * 5)
-        cert = check_single_peaked(g)
-        partition, trace = stabilize_single_peaked(g, cert, [2])
+        partition, trace = stabilize_single_peaked(g, check_single_peaked(g), [2])
         report = check_sp_lemmas(g, partition, [2], trace)
         assert report.ok
         assert report.blockers_in_window == 0
@@ -570,9 +569,9 @@ class TestAnonClosedForm:
     )
     @settings(max_examples=60, deadline=None)
     def test_sp_lemma_counts_and_violations(self, n, stabilized, eps, rnd):
-        g, cert = random_anon_sp(n, rnd.getrandbits(32))
+        g, ordering = random_anon_sp(n, rnd.getrandbits(32))
         window = size_interval(float(mean_size(UniformCoalitions(n))), 1, eps, n)
-        partition, trace = stabilize_single_peaked(g, cert, window)
+        partition, trace = stabilize_single_peaked(g, ordering, window)
         if not stabilized:
             # keep the packing's camps but audit an unrelated partition
             partition = random_partition(n, rnd.getrandbits(32))
