@@ -29,19 +29,14 @@ from .errors import (
     PartitionError,
     UnboundedLambdaError,
     UnderdeterminedError,
-    UndefinedValuationError,
 )
 from .games import (
     AnonymousHG,
     Coalition,
     Partition,
-    PartitionCheck,
     SimpleFHG,
-    blocks,
     check_ordering,
     check_single_peaked,
-    is_individually_rational,
-    validate_partition,
 )
 from .instances import (
     EmptyCoreSearch,
@@ -88,6 +83,7 @@ from .verification import (
     find_core_stable_partition,
     gr_decomposition,
     has_blocker,
+    is_individually_rational,
     iter_set_partitions,
     mc_blocking,
 )

@@ -5,10 +5,6 @@ class EpsfcError(Exception):
     """Base class for all package errors."""
 
 
-class UndefinedValuationError(EpsfcError):
-    """An agent's valuation was requested for a coalition she does not belong to."""
-
-
 class PartitionError(EpsfcError):
     """A list of blocks is not a disjoint cover of the agent set."""
 

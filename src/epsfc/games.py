@@ -1,4 +1,4 @@
-"""Game models, coalitions, partitions, and the core-blocking predicate.
+"""Game models, coalitions and partitions.
 
 Agents are the integers in [0, n). Coalitions are bit-indexed agent sets, so
 set algebra on them compiles down to integer bit operations, and a coalition
@@ -17,11 +17,10 @@ are unimodal along it, and raises otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import PartitionError, UndefinedValuationError
+from .errors import PartitionError
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -82,68 +81,29 @@ class Coalition:
         return f"Coalition({{{', '.join(map(str, self.members()))}}})"
 
 
-@dataclass(frozen=True)
-class PartitionCheck:
-    """Outcome of validating candidate blocks against the agent set [0, n)."""
-
-    ok: bool
-    duplicates: tuple[int, ...] = ()
-    missing: tuple[int, ...] = ()
-    out_of_range: tuple[int, ...] = ()
-    empty_blocks: int = 0
-
-
-def _block_mask(block) -> int:
-    return block.mask if isinstance(block, Coalition) else mask_of(block)
-
-
-def validate_partition(blocks, n: int) -> PartitionCheck:
-    """Check that ``blocks`` is a disjoint cover of [0, n).
-
-    Accepts Coalition objects or plain iterables of agent ids, and reports
-    duplicated agents, missing agents, out-of-range agents, and empty blocks.
-    """
-    seen = 0
-    duplicates: set[int] = set()
-    out_of_range: set[int] = set()
-    empty = 0
-    for block in blocks:
-        bmask = _block_mask(block)
-        if bmask == 0:
-            empty += 1
-            continue
-        high = bmask >> n
-        if high:
-            out_of_range.update(i + n for i in bits_of(high))
-            bmask &= (1 << n) - 1
-        duplicates.update(bits_of(seen & bmask))
-        seen |= bmask
-    missing = tuple(bits_of(((1 << n) - 1) & ~seen))
-    ok = not duplicates and not missing and not out_of_range and empty == 0
-    return PartitionCheck(
-        ok,
-        tuple(sorted(duplicates)),
-        missing,
-        tuple(sorted(out_of_range)),
-        empty,
-    )
-
-
 class Partition:
-    """A disjoint cover of [0, n) by coalitions or agent-id lists, with O(1) agent lookup."""
+    """A disjoint cover of [0, n) by coalitions or agent-id lists, with O(1) agent lookup.
+
+    Any other list of blocks is a PartitionError naming the first fault found."""
 
     __slots__ = ("n", "blocks", "assignment")
 
     def __init__(self, blocks: Iterable, n: int):
         self.blocks = tuple(b if isinstance(b, Coalition) else Coalition.of(*b) for b in blocks)
-        check = validate_partition(self.blocks, n)
-        if not check.ok:
-            raise PartitionError(f"invalid partition over {n} agents: {check}")
         self.n = n
         assignment = [0] * n
+        seen = 0
         for b, block in enumerate(self.blocks):
+            mask = block.mask
+            if not mask or mask >> n:
+                raise PartitionError(f"block {list(block)} is empty or reaches past agent {n - 1}")
+            if seen & mask:
+                raise PartitionError(f"agent {(seen & mask).bit_length() - 1} is in two blocks")
+            seen |= mask
             for i in block:
                 assignment[i] = b
+        if seen != (1 << n) - 1:
+            raise PartitionError(f"agent {(~seen & seen + 1).bit_length() - 1} is in no block")
         self.assignment = tuple(assignment)
 
     @classmethod
@@ -220,16 +180,8 @@ class SimpleFHG:
     def matrix(self) -> list[list[int]]:
         return [[self.adj_masks[i] >> j & 1 for j in range(self.n)] for i in range(self.n)]
 
-    def degree(self, i: int) -> int:
-        return self.adj_masks[i].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.adj_masks)
-
-    def value(self, i: int, coalition: Coalition) -> Fraction:
-        if i not in coalition:
-            raise UndefinedValuationError(f"agent {i} is not in {coalition}")
-        return Fraction((self.adj_masks[i] & coalition.mask).bit_count(), coalition.size)
 
     def member_values(self, coalition: Coalition) -> dict[int, Fraction]:
         """Every member's value of ``coalition``, in ascending member order."""
@@ -265,7 +217,7 @@ class AnonymousHG:
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
-                raise ValueError(f"agent {i} has {len(row)} size values, expected {n}")
+                raise ValueError(f"a row has {len(row)} size values, expected {n}")
         self.n = n
         self._rows = rows
 
@@ -280,11 +232,6 @@ class AnonymousHG:
     def has_size(self, i: int, s: int) -> bool:
         return 1 <= s <= self.n
 
-    def value(self, i: int, coalition: Coalition) -> float:
-        if i not in coalition:
-            raise UndefinedValuationError(f"agent {i} is not in {coalition}")
-        return self._rows[i][coalition.size - 1]
-
     def member_values(self, coalition: Coalition) -> dict[int, float]:
         """Every member's value of ``coalition``, in ascending member order."""
         s, rows = coalition.size - 1, self._rows
@@ -298,23 +245,6 @@ class AnonymousHG:
 
     def __repr__(self) -> str:
         return f"AnonymousHG(n={self.n})"
-
-
-def blocks(game, coalition: Coalition, partition: Partition) -> bool:
-    """True iff every member strictly prefers ``coalition`` to her current block."""
-    if coalition.size == 0:
-        raise ValueError("blocking candidates must be non-empty")
-    for i in coalition:
-        if not game.value(i, coalition) > game.value(i, partition.block_of(i)):
-            return False
-    return True
-
-
-def is_individually_rational(game, partition: Partition) -> bool:
-    """True iff no agent strictly prefers her singleton to her assigned block."""
-    return not any(
-        blocks(game, Coalition(1 << i), partition) for i in range(partition.n)
-    )
 
 
 def check_ordering(ordering, n: int) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .distributions import AdversarialBounded, FamilyUniform, SizeTilted, UniformCoalitions
-from .games import AnonymousHG, Coalition, Partition, SimpleFHG
+from .games import AnonymousHG, Coalition, Partition, SimpleFHG, mask_of
 from .learning import SampleRecord
 
 __all__ = [
@@ -60,10 +60,11 @@ class GameFile:
 
 def _field(d, key: str, what: str, build=None):
     """``build(d[key])``, or ``d[key]`` with no ``build``; a missing field or a
-    value ``build`` cannot take (a TypeError, "1/0") is a ValueError naming it."""
+    value ``build`` cannot take (a TypeError, "1/0", a ValueError from a
+    constructor) is a ValueError naming it."""
     try:
         return d[key] if build is None else build(d[key])
-    except (KeyError, TypeError, ArithmeticError) as exc:
+    except (KeyError, TypeError, ArithmeticError, ValueError) as exc:
         raise ValueError(f'{what}: "{key}" is missing or malformed: {exc}') from None
 
 
@@ -133,20 +134,34 @@ def partition_to_dict(partition: Partition) -> dict:
     return {"blocks": [[i + 1 for i in block.members()] for block in partition.blocks]}
 
 
-def _agents(lists, n: int, what: str) -> list[list[int]]:
+def _agents(lists, n: int) -> list[list[int]]:
     """The 0-based agents of each list of 1-based ids; every id is checked to
     lie in [1, n] before any mask is built from it, and none to repeat."""
     for ids in lists:
         for a in ids:
             if type(a) is not int or not 1 <= a <= n:
-                raise ValueError(f"{what}: agent id {a!r} is not an integer in [1, {n}]")
+                raise ValueError(f"agent id {a!r} is not an integer in [1, {n}]")
         if len(set(ids)) != len(ids):
-            raise ValueError(f"{what}: agent ids {ids} repeat an agent")
+            raise ValueError(f"agent ids {ids} repeat an agent")
     return [[a - 1 for a in ids] for ids in lists]
 
 
+def _cover(blocks: list[list[int]], n: int) -> list[list[int]]:
+    """``blocks`` once they cover agents [0, n) once each; errors name agents 1-based."""
+    seen = 0
+    for mask in map(mask_of, blocks):
+        if not mask:
+            raise ValueError("a block is empty")
+        if seen & mask:
+            raise ValueError(f"agent {(seen & mask).bit_length()} is in two blocks")
+        seen |= mask
+    if seen != (1 << n) - 1:
+        raise ValueError(f"agent {(~seen & seen + 1).bit_length()} is in no block")
+    return blocks
+
+
 def partition_from_dict(d: dict, n: int) -> Partition:
-    return Partition(_field(d, "blocks", "partition", lambda b: _agents(b, n, "partition")), n)
+    return Partition(_field(d, "blocks", "partition", lambda b: _cover(_agents(b, n), n)), n)
 
 
 def save_partition(path, partition: Partition) -> None:
@@ -179,10 +194,11 @@ def distribution_from_dict(d: dict, n: int):
     if kind == "size_tilted":
         return _field(d, "g", "distribution", lambda g: SizeTilted(n, _each(g, *_RATIO)))
     if kind == "family":
-        support = _field(d, "support", "distribution", lambda f: _agents(f, n, "family support"))
-        return FamilyUniform(support, n)
+        return _field(d, "support", "distribution", lambda f: FamilyUniform(_agents(f, n), n))
     if kind == "adversarial":
-        family = _field(d, "family", "distribution", lambda f: _agents(f, n, "adversarial family"))
+        # the family is checked under a ratio bound of 1, so only its own faults name it
+        family = _field(d, "family", "distribution",
+                        lambda f: AdversarialBounded(_agents(f, n), n, 1).family)
         return _field(d, "lambda", "distribution",
                       lambda lam: AdversarialBounded(family, n, *_each([lam], *_RATIO)))
     raise ValueError(f"unknown distribution kind {kind!r}")

@@ -3,6 +3,9 @@
 Each game class has one census, chosen by ``_census`` (any other object is a
 ``TypeError``), that answers ``blocks(mask)``, ``exists()`` and ``count``; the
 last also counts the blockers disjoint from an ``avoid`` set in the same pass.
+``blocks`` is the one test that a non-empty coalition core-blocks (each member
+strictly prefers it to her own block): ``blocker_predicate`` returns it, and
+``is_individually_rational`` asks it of every singleton.
 Fractional games are censused bit-parallel: the coalition masks are cut into
 blocks of 2^12, each agent's blocking test for a whole block is one Python int
 of side-by-side lane counters, and a block's blockers are the lanes that pass
@@ -43,6 +46,7 @@ __all__ = [
     "McEstimate",
     "mc_blocking",
     "blocker_predicate",
+    "is_individually_rational",
     "audit_green_anonymous",
     "SpLemmaReport",
     "check_sp_lemmas",
@@ -98,6 +102,8 @@ class _FhgCensus:
         self.den = [block.size for block in own]
 
     def blocks(self, mask: int) -> bool:
+        if not mask:
+            raise ValueError("blocking candidates must be non-empty")
         adj, num, den = self.adj, self.num, self.den
         size = mask.bit_count()
         m = mask
@@ -197,6 +203,8 @@ class _AnonCensus:
                     improve[s] |= 1 << i
 
     def blocks(self, mask: int) -> bool:
+        if not mask:
+            raise ValueError("blocking candidates must be non-empty")
         return mask & ~self.improve[mask.bit_count()] == 0
 
     def exists(self) -> bool:
@@ -220,8 +228,14 @@ def _census(game, partition: Partition):
 
 
 def blocker_predicate(game, partition: Partition) -> Callable[[int], bool]:
-    """Return an exact mask -> bool test of the core-blocking condition."""
+    """Return an exact mask -> bool test of the core-blocking condition; the
+    empty mask is a ValueError."""
     return _census(game, partition).blocks
+
+
+def is_individually_rational(game, partition: Partition) -> bool:
+    """True iff no agent strictly prefers her singleton to her assigned block."""
+    return not any(map(blocker_predicate(game, partition), (1 << i for i in range(partition.n))))
 
 
 def _anon_counts(improve: list[int], avoid: int = 0) -> list[int]:

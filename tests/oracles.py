@@ -63,6 +63,28 @@ def naive_anon_blocking_count(table, block_lists):
     return count
 
 
+def naive_fhg_blocks(adj_rows, block_lists, mask):
+    """Whether the non-empty coalition ``mask`` core-blocks: each member's value
+    of it, recomputed from the adjacency rows, beats her value of her block."""
+    for block in block_lists:
+        bmask = sum(1 << i for i in block)
+        for i in block:
+            if mask >> i & 1:
+                if not naive_fhg_value(adj_rows, i, mask) > naive_fhg_value(adj_rows, i, bmask):
+                    return False
+    return True
+
+
+def naive_anon_blocks(table, block_lists, mask):
+    """As ``naive_fhg_blocks``, with table[i][s-1] the value of size s."""
+    s = len(members_of(mask))
+    for block in block_lists:
+        for i in block:
+            if mask >> i & 1 and not table[i][s - 1] > table[i][len(block) - 1]:
+                return False
+    return True
+
+
 def anon_blocking_count_closed_form(table, block_lists):
     """Combinatorial count: sum over sizes s of C(#improvers at s, s).
 
@@ -350,3 +372,57 @@ def reference_check_single_peaked(game, ordering: Sequence[int] | None = None):
                 fell = True
         peaks.append(order[seq.index(max(seq))])
     return ReferenceCertificate(order, tuple(peaks))
+
+
+# The partition check as it stood when it returned a result record, kept
+# verbatim (the record renamed, its helpers inlined) to cross-check the
+# raising check in ``Partition``.
+
+
+@dataclass(frozen=True)
+class ReferencePartitionCheck:
+    """Outcome of validating candidate blocks against the agent set [0, n)."""
+
+    ok: bool
+    duplicates: tuple[int, ...] = ()
+    missing: tuple[int, ...] = ()
+    out_of_range: tuple[int, ...] = ()
+    empty_blocks: int = 0
+
+
+def _reference_block_mask(block) -> int:
+    from epsfc.games import Coalition
+
+    return block.mask if isinstance(block, Coalition) else sum(1 << i for i in set(block))
+
+
+def reference_validate_partition(blocks, n: int) -> ReferencePartitionCheck:
+    """Check that ``blocks`` is a disjoint cover of [0, n).
+
+    Accepts Coalition objects or plain iterables of agent ids, and reports
+    duplicated agents, missing agents, out-of-range agents, and empty blocks.
+    """
+    seen = 0
+    duplicates: set[int] = set()
+    out_of_range: set[int] = set()
+    empty = 0
+    for block in blocks:
+        bmask = _reference_block_mask(block)
+        if bmask == 0:
+            empty += 1
+            continue
+        high = bmask >> n
+        if high:
+            out_of_range.update(i + n for i in members_of(high))
+            bmask &= (1 << n) - 1
+        duplicates.update(members_of(seen & bmask))
+        seen |= bmask
+    missing = tuple(members_of(((1 << n) - 1) & ~seen))
+    ok = not duplicates and not missing and not out_of_range and empty == 0
+    return ReferencePartitionCheck(
+        ok,
+        tuple(sorted(duplicates)),
+        missing,
+        tuple(sorted(out_of_range)),
+        empty,
+    )

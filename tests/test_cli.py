@@ -320,6 +320,9 @@ class TestVerify:
         assert run("verify", "--game", game, "--partition", part, "--eps", 0.5) == 0
 
 
+MALFORMED = "is missing or malformed: "
+
+
 class TestMalformedFiles:
     VALID = {
         "game": '{"kind":"anon","vals":[[0.1,0.2,0.3],[0.3,0.2,0.1],[0.2,0.3,0.1]]}',
@@ -347,6 +350,17 @@ class TestMalformedFiles:
             ("dist", '{"kind":"size_tilted","g":[true,1,1]}', '"g"'),
             ("dist", '{"kind":"adversarial","family":[[1]],"lambda":true}', '"lambda"'),
             ("dist", '{"kind":"family","support":5}', '"support"'),
+            # constructor errors name their field too
+            ("game", '{"kind":"fhg","adj":[[0,1]]}', '"adj"'),
+            ("game", '{"kind":"anon","vals":[[0.5],[0.1,0.2]]}', '"vals"'),
+            ("dist", '{"kind":"size_tilted","g":[1,1]}', '"g"'),
+            ("dist", '{"kind":"adversarial","family":[[1]],"lambda":"1/2"}', '"lambda"'),
+            ("dist", '{"kind":"adversarial","family":[[1],[1]],"lambda":2}', '"family"'),
+            ("dist", '{"kind":"family","support":[]}', '"support"'),
+            # a partition must cover agents 1..n once each, and its errors say so 1-based
+            ("partition", '{"blocks":[[1,2],[2,3]]}', f'"blocks" {MALFORMED}agent 2 is in two blocks'),
+            ("partition", '{"blocks":[[1,2]]}', f'"blocks" {MALFORMED}agent 3 is in no block'),
+            ("partition", '{"blocks":[[1,2,3],[]]}', f'"blocks" {MALFORMED}a block is empty'),
         ],
     )
     def test_wrong_json_shape_is_a_usage_error(self, tmp_path, capsys, role, text, field):

@@ -13,15 +13,19 @@ from epsfc import (
     Partition,
     PartitionError,
     SimpleFHG,
-    UndefinedValuationError,
-    blocks,
     check_single_peaked,
     exact_blocking,
     is_individually_rational,
-    validate_partition,
 )
 from epsfc.instances import random_anon, random_fhg, random_partition
-from oracles import ReferenceCertificate, reference_check_single_peaked
+from epsfc.verification import blocker_predicate
+from oracles import (
+    ReferenceCertificate,
+    naive_anon_blocks,
+    naive_fhg_blocks,
+    reference_check_single_peaked,
+    reference_validate_partition,
+)
 
 
 def mutual_pair():
@@ -48,62 +52,65 @@ class TestCoalition:
 class TestValue:
     def test_mutual_pair_half(self):
         g = mutual_pair()
-        assert g.value(0, Coalition.of(0, 1)) == Fraction(1, 2)
+        assert g.member_values(Coalition.of(0, 1))[0] == Fraction(1, 2)
 
     def test_singleton_zero(self):
         g = random_fhg(6, 0.7, 1)
         for i in range(6):
-            assert g.value(i, Coalition.of(i)) == 0
+            assert g.member_values(Coalition.of(i))[i] == 0
 
     def test_anonymous_lookup(self):
         g = AnonymousHG([[0.1, 0.7, 0.3]] * 3)
-        assert g.value(2, Coalition.of(1, 2)) == 0.7
-
-    def test_nonmember_undefined(self):
-        g = mutual_pair()
-        with pytest.raises(UndefinedValuationError):
-            g.value(0, Coalition.of(1))
-        ga = AnonymousHG([[0.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(UndefinedValuationError):
-            ga.value(1, Coalition.of(0))
+        assert g.member_values(Coalition.of(1, 2))[2] == 0.7
+        assert g.member_values(Coalition.of(1, 2)) == {1: 0.7, 2: 0.7}
 
     def test_fhg_value_range(self):
         g = random_fhg(8, 0.5, 3)
         for mask in range(1, 1 << 8):
             c = Coalition(mask)
-            for i in c:
-                v = g.value(i, c)
+            for v in g.member_values(c).values():
                 assert 0 <= v <= Fraction(c.size - 1, c.size)
 
 
 class TestBlocks:
     def test_mutual_pair_blocks_singletons(self):
         g = mutual_pair()
-        assert blocks(g, Coalition.of(0, 1), Partition.singletons(2))
+        assert blocker_predicate(g, Partition.singletons(2))(0b11)
 
     def test_own_block_never_blocks(self):
         g = random_fhg(6, 0.5, 7)
         p = random_partition(6, 11)
         for block in p:
-            assert not blocks(g, block, p)
+            assert not blocker_predicate(g, p)(block.mask)
 
     def test_anonymous_singleton_peak(self):
         vals = [[1.0, 0.0, 0.0]] * 3
         g = AnonymousHG(vals)
-        assert blocks(g, Coalition.of(0), Partition.grand(3))
+        assert blocker_predicate(g, Partition.grand(3))(0b1)
 
     def test_equals_conjunction_of_member_comparisons(self):
+        # the census predicate against the per-coalition oracle, every mask, both classes
         rng = random.Random(5)
-        for _ in range(50):
-            n = rng.randrange(3, 8)
-            g = random_fhg(n, rng.random(), rng.getrandbits(32))
+        for _ in range(40):
+            n = rng.randrange(1, 8)
             p = random_partition(n, rng.getrandbits(32))
-            mask = rng.randrange(1, 1 << n)
-            c = Coalition(mask)
-            direct = all(
-                g.value(i, c) > g.value(i, p.block_of(i)) for i in c
-            )
-            assert blocks(g, c, p) == direct
+            block_lists = [list(b.members()) for b in p.blocks]
+            g = random_fhg(n, rng.random(), rng.getrandbits(32))
+            a = random_anon(n, rng.getrandbits(32))
+            fhg_pred, anon_pred = blocker_predicate(g, p), blocker_predicate(a, p)
+            rows, table = g.matrix(), a.table()
+            for mask in range(1, 1 << n):
+                assert fhg_pred(mask) == naive_fhg_blocks(rows, block_lists, mask)
+                assert anon_pred(mask) == naive_anon_blocks(table, block_lists, mask)
+
+    @pytest.mark.parametrize(
+        "game, partition",
+        [(random_fhg(6, 0.5, 1), Partition.singletons(6)), (random_anon(6, 1), Partition.grand(6))],
+        ids=["fhg", "anon"],
+    )
+    def test_empty_mask_refused(self, game, partition):
+        with pytest.raises(ValueError, match="^blocking candidates must be non-empty$"):
+            blocker_predicate(game, partition)(0)
 
 
 class TestIndividualRationality:
@@ -124,25 +131,46 @@ class TestIndividualRationality:
         assert is_individually_rational(g, Partition.singletons(5))
 
 
+@st.composite
+def _block_lists(draw):
+    """n = 0..9 and a list of blocks, as Coalitions or as id lists: a valid
+    cover, or one with an agent repeated across blocks, agents missing, ids
+    >= n or empty blocks."""
+    n = draw(st.integers(0, 9))
+    labels = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+    blocks = [[i for i in range(n) if labels[i] == b] for b in sorted(set(labels))]
+    faults = draw(st.sets(st.sampled_from(["repeat", "missing", "high", "empty"])))
+    for fault in [f for f in ("repeat", "missing", "high", "empty") if f in faults]:
+        if fault == "repeat" and len(blocks) > 1:
+            blocks[-1].append(draw(st.sampled_from(blocks[0])))
+        elif fault == "missing" and blocks:
+            blocks[0].remove(draw(st.sampled_from(blocks[0])))
+        elif fault == "high":
+            blocks.insert(draw(st.integers(0, len(blocks))), [draw(st.integers(n, n + 3))])
+        elif fault == "empty":
+            blocks.insert(draw(st.integers(0, len(blocks))), [])
+    if draw(st.booleans()):
+        blocks = [Coalition.of(*b) for b in blocks]
+    return n, blocks
+
+
 class TestValidatePartition:
     def test_ok(self):
-        assert validate_partition([[0, 1], [2]], 3).ok
+        assert Partition([[0, 1], [2]], 3).assignment == (0, 0, 1)
 
     def test_duplicate(self):
-        check = validate_partition([[0, 1], [1, 2]], 3)
-        assert not check.ok
-        assert check.duplicates == (1,)
+        with pytest.raises(PartitionError, match="^agent 1 is in two blocks$"):
+            Partition([[0, 1], [1, 2]], 3)
 
     def test_missing(self):
-        check = validate_partition([[0]], 2)
-        assert not check.ok
-        assert check.missing == (1,)
+        with pytest.raises(PartitionError, match="^agent 1 is in no block$"):
+            Partition([[0]], 2)
 
     def test_out_of_range_and_empty(self):
-        check = validate_partition([[0, 5], [], [1]], 2)
-        assert not check.ok
-        assert check.out_of_range == (5,)
-        assert check.empty_blocks == 1
+        with pytest.raises(PartitionError, match=r"^block \[0, 5\] is empty or reaches past agent 1$"):
+            Partition([[0, 5], [], [1]], 2)
+        with pytest.raises(PartitionError, match=r"^block \[\] is empty"):
+            Partition([[0], [], [1]], 2)
 
     def test_partition_constructor_rejects(self):
         with pytest.raises(PartitionError):
@@ -164,7 +192,6 @@ class TestValidatePartition:
     def test_accepts_exactly_disjoint_covers(self, n, rng):
         p = random_partition(n, random.Random(rng.getrandbits(32)))
         blocks_lists = [list(b.members()) for b in p.blocks]
-        assert validate_partition(blocks_lists, n).ok
         assert Partition(blocks_lists, n) == p
         # corrupt: duplicate one agent into another block, or drop one
         corrupted = [list(b) for b in blocks_lists]
@@ -172,7 +199,27 @@ class TestValidatePartition:
             corrupted[0].append(corrupted[-1][0])
         else:
             corrupted[0] = corrupted[0][:-1] if len(corrupted[0]) > 1 else [n + 1]
-        assert not validate_partition(corrupted, n).ok
+        with pytest.raises(PartitionError):
+            Partition(corrupted, n)
+
+    @given(_block_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case):
+        n, blocks = case
+        check = reference_validate_partition(blocks, n)
+        if not check.ok:
+            with pytest.raises(PartitionError):
+                Partition(blocks, n)
+            return
+        p = Partition(blocks, n)
+        assert p.assignment == tuple(
+            next(b for b, block in enumerate(blocks) if i in block) for i in range(n)
+        )
+
+    def test_negative_id_is_a_value_error(self):
+        for blocks in ([[0, -1]], [[-1], [0]]):
+            with pytest.raises(ValueError, match="negative agent id -1"):
+                Partition(blocks, 1)
 
 
 def violation(agent, h, k):

@@ -5,6 +5,7 @@ import pytest
 from epsfc import (
     AnonymousHG,
     Coalition,
+    Partition,
     adversarial_family,
     certify_empty_core,
     check_single_peaked,
@@ -15,7 +16,6 @@ from epsfc import (
     random_anon_sp,
     random_fhg,
     random_partition,
-    validate_partition,
 )
 from epsfc.errors import GuardError
 
@@ -23,9 +23,9 @@ from epsfc.errors import GuardError
 class TestRandomFhg:
     def test_extremes(self):
         g1 = random_fhg(6, 1.0, 0)
-        assert all(g1.degree(i) == 5 for i in range(6))
+        assert g1.degrees() == (5,) * 6
         g0 = random_fhg(6, 0.0, 0)
-        assert all(g0.degree(i) == 0 for i in range(6))
+        assert g0.degrees() == (0,) * 6
 
     def test_seed_reproducible(self):
         assert random_fhg(10, 0.37, 123) == random_fhg(10, 0.37, 123)
@@ -72,7 +72,7 @@ class TestRandomPartition:
     def test_valid_and_seeded(self):
         for seed in range(20):
             p = random_partition(9, seed)
-            assert validate_partition(p.blocks, 9).ok
+            assert Partition(p.blocks, 9) == p
         assert random_partition(9, 5) == random_partition(9, 5)
 
 
@@ -85,14 +85,14 @@ class TestExtendFhg:
             assert ext.adj_masks[i] == base.adj_masks[i]
         for i in range(5, 9):
             assert ext.adj_masks[i] & 0b11111 == 0
-            assert ext.degree(i) == 3
+            assert ext.degrees()[i] == 3
         for i in range(5):
             assert ext.adj_masks[i] >> 5 == 0
 
     def test_complete_base_gives_two_cliques(self):
         base = random_fhg(4, 1.0, 0)
         ext = extend_fhg(base, 7)
-        assert ext.degree(0) == 3 and ext.degree(6) == 2
+        assert ext.degrees()[0] == 3 and ext.degrees()[6] == 2
 
     def test_size_check(self):
         base = random_fhg(4, 0.5, 0)

@@ -78,7 +78,7 @@ class TestPartitionRoundtrip:
         others = [i for i in (1, 2, 3) if i not in block]
         repeat = block == [1, 1]
         words = r"ids \[1, 1\] repeat" if repeat else r"id .* is not an integer in \[1, 3\]"
-        with pytest.raises(ValueError, match=f"partition: agent {words}"):
+        with pytest.raises(ValueError, match=f'^partition: "blocks" .*: agent {words}'):
             eio.partition_from_dict({"blocks": [block, others]}, 3)
 
 

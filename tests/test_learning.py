@@ -142,7 +142,7 @@ def fhg_records(game, masks):
     records = []
     for mask in masks:
         c = Coalition(mask)
-        records.append(SampleRecord(c, {i: game.value(i, c) for i in c}))
+        records.append(SampleRecord(c, game.member_values(c)))
     return records
 
 
@@ -173,7 +173,7 @@ class TestLearnFhg:
         records = []
         for pair in [(0, 1), (1, 2), (0, 2)]:
             c = Coalition.of(3, *pair)
-            records.append(SampleRecord(c, {i: g.value(i, c) for i in c}))
+            records.append(SampleRecord(c, g.member_values(c)))
         with pytest.raises(UnderdeterminedError) as exc:
             learn_fhg(4, records)
         # agents 0..2 lack data, agent 3's system solved via the fallback
@@ -209,8 +209,7 @@ class TestLearnFhg:
             except LearningError:
                 continue
             for r in records:
-                for i, v in r.member_values.items():
-                    assert learned.value(i, r.coalition) == v
+                assert learned.member_values(r.coalition) == r.member_values
 
     def test_empirical_rate_small(self):
         # at the guaranteed sample size the rate should be near-perfect
@@ -379,7 +378,7 @@ class TestIterableSamples:
             assert first == draw_samples(game, dist, 50, random.Random(8))
             for rec in first:
                 c = rec.coalition
-                assert rec.member_values == {i: game.value(i, c) for i in c}
+                assert rec.member_values == game.member_values(c)
                 assert list(rec.member_values) == list(c.members())
 
 

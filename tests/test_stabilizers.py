@@ -17,7 +17,6 @@ from epsfc import (
     stabilize_anonymous,
     stabilize_fhg,
     stabilize_single_peaked,
-    validate_partition,
 )
 from epsfc.distributions import SizeInterval
 from epsfc.errors import LearningError
@@ -101,7 +100,7 @@ class TestStabilizeFhg:
         else:
             assert [(it.agent, it.removed) for it in trace.iterations] == log
         assert [list(b.members()) for b in partition.blocks] == blocks
-        assert validate_partition(partition.blocks, n).ok
+        assert Partition(partition.blocks, n) == partition
 
     def test_matching_partner_counts(self):
         rng = random.Random(99)
@@ -112,7 +111,7 @@ class TestStabilizeFhg:
             partition, trace = stabilize_fhg(g, th)
             assert trace.branch == "matching"
             for it in trace.iterations:
-                d = g.degree(it.agent)
+                d = g.degrees()[it.agent]
                 want = 0 if d == 0 else math.ceil(2 * d / (n - d))
                 assert len(it.partners) == min(want, d)
                 assert all(g.adj_masks[it.agent] >> j & 1 for j in it.partners)
@@ -271,7 +270,7 @@ class TestStabilizeAnonymous:
             g = random_anon(n, rng.getrandbits(32))
             sizes = sorted(rng.sample(range(1, n + 1), rng.randrange(1, min(5, n + 1))))
             partition, trace = stabilize_anonymous(g, sizes)
-            assert validate_partition(partition.blocks, n).ok
+            assert Partition(partition.blocks, n) == partition
             guaranteed = min(math.ceil(n / len(sizes)), trace.q * trace.s_star)
             assert len(trace.green_agents) >= guaranteed
 
@@ -335,7 +334,7 @@ class TestStabilizeSinglePeaked:
             k = rng.randrange(2, n + 1)
             sizes = sorted(rng.sample(range(1, n + 1), k))
             partition, trace = stabilize_single_peaked(g, ordering, sizes)
-            assert validate_partition(partition.blocks, n).ok
+            assert Partition(partition.blocks, n) == partition
             if trace.r:
                 remainder = next(b for b in partition.blocks if b.size == trace.r)
                 at_in_remainder = set(remainder.members()) & set(trace.peaked_at)
@@ -385,7 +384,7 @@ class TestStabilizeSinglePeaked:
         # window sizes must be ranked by the ordering, not naturally
         assert trace.ordered_sizes == ordering
         assert trace.s_star == trace.ordered_sizes[trace.h_star]
-        assert validate_partition(partition.blocks, 4).ok
+        assert Partition(partition.blocks, 4) == partition
         # camp split is by ordering position of each agent's restricted peak
         pos = {s: h for h, s in enumerate(ordering)}
         for i in range(4):
@@ -413,7 +412,7 @@ class TestStarvation:
         partition, trace = stabilize_fhg(g, th)
         assert trace.starved
         assert len(trace.gr) == 2
-        assert validate_partition(partition.blocks, 6).ok
+        assert Partition(partition.blocks, 6) == partition
 
     def test_clique_candidate_exhaustion_recorded(self):
         # complete graph never removes anyone; gr eats the club

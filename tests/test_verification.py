@@ -22,7 +22,6 @@ from epsfc import (
     UniformCoalitions,
     audit_green_anonymous,
     bartlett_bounds,
-    blocks,
     certify_empty_core,
     check_single_peaked,
     check_sp_lemmas,
@@ -44,7 +43,9 @@ from oracles import (
     anon_blocking_count_closed_form,
     brute_point_masses,
     naive_anon_blocking_count,
+    naive_anon_blocks,
     naive_fhg_blocking_count,
+    naive_fhg_blocks,
 )
 from epsfc.instances import (
     find_empty_core_sp,
@@ -143,8 +144,9 @@ class TestExactBlocking:
         report = exact_blocking(g, p)
         assert sum(report.blocking_by_size) == report.blocking_count
         # every witness actually blocks
+        block_lists = [list(b.members()) for b in p.blocks]
         for w in report.witnesses:
-            assert blocks(g, w, p)
+            assert naive_fhg_blocks(g.matrix(), block_lists, w.mask)
 
     def test_witness_cap(self):
         g = SimpleFHG.from_matrix(
@@ -552,7 +554,7 @@ class TestAnonClosedForm:
         # documented order: ascending size, then lexicographic in agent ids
         first = sorted(found, key=lambda m: (m.bit_count(), Coalition(m).members()))
         assert [w.mask for w in report.witnesses] == first[:cap]
-        assert all(blocks(g, w, p) for w in report.witnesses)
+        assert all(naive_anon_blocks(g.table(), block_lists, w.mask) for w in report.witnesses)
 
         gr = rnd.sample(range(n), rnd.randrange(n + 1))
         gr_mask = sum(1 << i for i in gr)
