@@ -7,6 +7,7 @@ result, both by exact census and by Monte Carlo.
 Run:  python demos/fhg_stabilize_and_verify.py
 """
 
+import random
 from fractions import Fraction
 
 from epsfc import (
@@ -46,6 +47,7 @@ for p in DENSITIES:
     print(f"  census split       : fraction <= P(miss guaranteed)={float(avoid):.4f}"
           f" + blockers-meeting={float(meet):.4f}")
 
-    est = mc_blocking(game, partition, UniformCoalitions(N), m=50_000, delta=0.01, seed=7)
+    rng = random.Random(7)
+    est = mc_blocking(game, partition, UniformCoalitions(N), m=50_000, delta=0.01, rng=rng)
     print(f"  monte carlo        : p_hat={est.p_hat:.4f} +- {est.ci_halfwidth:.4f}"
           f" (exact {float(report.fraction):.4f})\n")

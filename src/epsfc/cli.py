@@ -3,7 +3,8 @@
 Subcommands: ``gen`` writes game files, ``sample`` draws valuation samples,
 ``stabilize`` runs the learning and computation phases, ``verify`` measures
 blocking exactly or by Monte Carlo, and ``experiment`` sweeps a parameter
-grid into a CSV. Every command is deterministic given --seed.
+grid into a CSV. Every command is deterministic given --seed, and
+``experiment`` given its config, whose ``seed`` is the root seed.
 
 Exit codes: 0 success, 2 usage error, 3 enumeration guard, 4 learning
 failure or empty size window, 5 verification found a violation.
@@ -235,7 +236,8 @@ def cmd_verify(args) -> int:
         report = exact_blocking(game, partition, dist=dist)
         measured = float(report.mass)
     else:
-        estimate = mc_blocking(game, partition, dist, args.mc, args.delta, seed=args.seed)
+        rng = random.Random(args.seed)
+        estimate = mc_blocking(game, partition, dist, args.mc, args.delta, rng=rng)
         measured = estimate.p_hat
     wall_ms = round(1000 * (time.perf_counter() - started), 3)
     row = {
@@ -276,6 +278,7 @@ EXPERIMENT_COLUMNS = [
     "p_hat",
     "ci",
     "error",
+    "config",
 ]
 
 
@@ -298,15 +301,12 @@ _EXPERIMENT_KEYS = {
 }
 
 
-def _read_config(path, seed) -> dict:
+def _read_config(path) -> dict:
     """The experiment config at ``path`` with every key present and each grid
-    key a list; a missing or null key takes its default, and ``seed``, unless
-    None, replaces the root seed."""
+    key a list; a missing or null key takes its default."""
     config = json.loads(Path(path).read_text())
     if not isinstance(config, dict):
         raise UsageError(f"{path}: an experiment config is a JSON object, not {config!r}")
-    if seed is not None:
-        config["seed"] = seed
     checked = {}
     for key, (default, (ok, kind)) in _EXPERIMENT_KEYS.items():
         value = config.pop(key, None)
@@ -344,8 +344,8 @@ def _run_cell(config: dict, cell: tuple) -> dict:
         report = exact_blocking(game, partition, dist=dist)
         estimate = None
         if config["mc"]:
-            mc_seed = _sub_seed(root_seed, "mc", index, seed)
-            estimate = mc_blocking(game, partition, dist, config["mc"], delta, seed=mc_seed)
+            rng = random.Random(_sub_seed(root_seed, "mc", index, seed))
+            estimate = mc_blocking(game, partition, dist, config["mc"], delta, rng=rng)
         row.update(_blocking_fields(report, estimate))
     except Exception as exc:  # noqa: BLE001 - a failed cell is data, not an abort
         row["status"] = "failed"
@@ -357,12 +357,19 @@ def cmd_experiment(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = min(args.jobs, os.cpu_count() or 1)
-    config = _read_config(args.config, args.seed)
+    config = _read_config(args.config)
+    # every row carries the config it ran under; a rerun resumes only its own grid
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
     done: set[str] = set()
     out = Path(args.out)
     if out.exists():
         with open(out, newline="") as fh:
-            done = {line.get("cell") for line in csv.DictReader(fh)}
+            # a row without the column is left to the header check in _append_csv
+            for line in csv.DictReader(fh):
+                if line.get("config", digest) != digest:
+                    raise UsageError(f"{out}: cell {line.get('cell')} ran under config "
+                                     f"{line['config']}, not {digest}")
+                done.add(line.get("cell"))
     # (index, n, p, seed) cells; p is None outside fhg
     ps = config["p"] if config["class"] == "fhg" else [None]
     cells = enumerate(itertools.product(config["n"], ps, config["seeds"]))
@@ -378,6 +385,7 @@ def cmd_experiment(args) -> int:
         with pool or contextlib.nullcontext():
             for row in (pool.map if pool else map)(run, pending):
                 failed += row["status"] != "ok"
+                row["config"] = digest
                 yield row
 
     _append_csv(out, EXPERIMENT_COLUMNS, rows())
@@ -443,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a parameter grid into a CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, help="override the config root seed")
     p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
     p.set_defaults(func=cmd_experiment)
 

@@ -218,14 +218,14 @@ class FamilyUniform(_MassModel):
 class AdversarialBounded(_MassModel):
     """Two-level distribution: mass p on an explicit family, p/lambda off it.
 
-    p solves |F|*p + (2^n - 1 - |F|)*p/lambda = 1 exactly, i.e.
-    p = lambda / (|F|*(lambda - 1) + 2^n - 1), so each family coalition is
-    exactly ``lambda`` times more likely than each coalition outside it.
+    p is ``family_mass``. It solves |F|*p + (2^n - 1 - |F|)*p/lambda = 1
+    exactly, i.e. p = lambda / (|F|*(lambda - 1) + 2^n - 1), so each family
+    coalition is exactly ``lambda`` times more likely than each one outside it.
     Sampling never enumerates 2^n subsets: a Bernoulli choice picks the
     family or its complement by exact mass, then a uniform member within.
     """
 
-    __slots__ = ("n", "family", "lam", "p", "_family_masks", "_branch_num", "_branch_den")
+    __slots__ = ("n", "family", "lam", "family_mass", "_family_masks", "_branch_num", "_branch_den")
 
     def __init__(self, family: Iterable, n: int, lam):
         lam = Fraction(lam)
@@ -235,10 +235,10 @@ class AdversarialBounded(_MassModel):
         self.n = n
         self.lam = lam
         f = len(self.family)
-        self.p = lam / (f * (lam - 1) + (1 << n) - 1)
-        family_mass = f * self.p
-        self._branch_num = family_mass.numerator
-        self._branch_den = family_mass.denominator
+        self.family_mass = lam / (f * (lam - 1) + (1 << n) - 1)
+        branch = f * self.family_mass
+        self._branch_num = branch.numerator
+        self._branch_den = branch.denominator
 
     def sample(self, rng) -> Coalition:
         if self.family and rng.randrange(self._branch_den) < self._branch_num:
@@ -248,12 +248,8 @@ class AdversarialBounded(_MassModel):
             if mask not in self._family_masks:
                 return Coalition(mask)
 
-    @property
-    def family_mass(self) -> Fraction:
-        return self.p
-
     def unit_mass_of_size(self, s: int) -> Fraction:
-        return self.p / self.lam
+        return self.family_mass / self.lam
 
     def lambda_bound(self) -> Fraction:
         f = len(self.family)
@@ -314,9 +310,6 @@ class SizeInterval:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.sizes)
-
-    def __len__(self) -> int:
-        return len(self.sizes)
 
 
 def size_interval(mu, lam, eps: float, n: int) -> SizeInterval:

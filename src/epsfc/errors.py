@@ -24,9 +24,9 @@ class LearningError(EpsfcError):
 class UnderdeterminedError(LearningError):
     """The sampled equations do not pin down every agent's valuation."""
 
-    def __init__(self, agents, message=None):
+    def __init__(self, agents):
         self.agents = tuple(agents)
-        super().__init__(message or f"underdetermined agents: {list(self.agents)}")
+        super().__init__(f"underdetermined agents: {list(self.agents)}")
 
 
 class InconsistentSampleError(LearningError):

@@ -229,9 +229,6 @@ class AnonymousHG:
             raise ValueError(f"coalition size {s} outside [1, {self.n}]")
         return self._rows[i][s - 1]
 
-    def has_size(self, i: int, s: int) -> bool:
-        return 1 <= s <= self.n
-
     def member_values(self, coalition: Coalition) -> dict[int, float]:
         """Every member's value of ``coalition``, in ascending member order."""
         s, rows = coalition.size - 1, self._rows

@@ -82,6 +82,14 @@ def _each(values, ok, kinds: str):
     return values
 
 
+def _adjacency_rows(rows):
+    """``rows`` once each is 0/1 with a 0 on the diagonal; a self-loop names its 1-based agent."""
+    for i, row in enumerate(rows):
+        if _each(row, *_BIT)[i : i + 1] == [1]:
+            raise ValueError(f"agent {i + 1} points to itself")
+    return rows
+
+
 def _fraction_to_json(x: Fraction):
     """A JSON value that ``Fraction`` reads back as ``x``: an int or "p/q"."""
     return x.numerator if x.denominator == 1 else str(x)
@@ -104,8 +112,7 @@ def game_to_dict(game, sp_ordering=None, provenance=None) -> dict:
 def game_from_dict(d: dict) -> GameFile:
     kind = _field(d, "kind", "game")
     if kind == "fhg":
-        game = _field(d, "adj", "game",
-                      lambda rows: SimpleFHG.from_matrix([_each(r, *_BIT) for r in rows]))
+        game = _field(d, "adj", "game", lambda rows: SimpleFHG.from_matrix(_adjacency_rows(rows)))
     elif kind == "anon":
         game = _field(d, "vals", "game", lambda rows: AnonymousHG([_each(r, *_REAL) for r in rows]))
     else:

@@ -258,9 +258,6 @@ class LearnedAnonymous:
         self._vals: list[dict[int, float]] = [{} for _ in range(n)]
         self._size_sum = 0
 
-    def has_size(self, i: int, s: int) -> bool:
-        return s in self._vals[i]
-
     def value_of_size(self, i: int, s: int) -> float:
         try:
             return self._vals[i][s]
@@ -277,11 +274,6 @@ class LearnedAnonymous:
 
     def known_table(self) -> list[list[bool]]:
         return [[s in self._vals[i] for s in range(1, self.n + 1)] for i in range(self.n)]
-
-    def sizes_known_for_all(self) -> tuple[int, ...]:
-        return tuple(
-            s for s in range(1, self.n + 1) if all(s in self._vals[i] for i in range(self.n))
-        )
 
     def __repr__(self) -> str:
         known = sum(len(v) for v in self._vals)
@@ -329,7 +321,8 @@ def estimate_interval(
     """Window of sizes certainly covering the high-probability size window.
 
     Widens the ideal window by the mean-estimation slack alpha on both ends,
-    then keeps only the integer sizes that were learned for every agent.
+    then keeps only the integer sizes whose value was learned for every
+    agent, so a stabilizer can read each agent's value at each size kept.
     Raises EmptyIntervalError when nothing survives.
     """
     n = learned.n
@@ -344,11 +337,11 @@ def estimate_interval(
         (1 + delta) * (mu + alpha),
     ]
     lo, hi = min(ends), max(ends)
-    known = set(learned.sizes_known_for_all())
-    sizes = tuple(s for s in range(1, n + 1) if lo < s < hi and s in known)
+    known = [s for s in range(1, n + 1) if all(s in row for row in learned._vals)]
+    sizes = tuple(s for s in known if lo < s < hi)
     if not sizes:
         raise EmptyIntervalError(
             f"no fully-learned size lies in ({lo:.3f}, {hi:.3f}); "
-            f"learned-for-all sizes: {sorted(known)}"
+            f"learned-for-all sizes: {known}"
         )
     return SizeInterval(lo, hi, sizes)

@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import EmptyIntervalError, LearningError
+from .errors import EmptyIntervalError
 from .games import Coalition, Partition, SimpleFHG, bits_of, check_ordering
 from .verification import audit_green_anonymous
 
@@ -185,14 +185,12 @@ class AnonStabilizerTrace:
     after_in_star: tuple[int, ...] | None = None
 
 
-def _window(view, interval) -> tuple[int, ...]:
-    """The window's sizes ascending, once every agent's value at each is known."""
+def _window(interval) -> tuple[int, ...]:
+    """The window's sizes ascending, refusing an empty window; a value missing
+    from a learned view raises later, from its ``value_of_size``."""
     sizes = tuple(sorted(interval))
     if not sizes:
         raise EmptyIntervalError("cannot stabilize over an empty size window")
-    missing = [(i, s) for i in range(view.n) for s in sizes if not view.has_size(i, s)]
-    if missing:
-        raise LearningError(f"valuations missing for (agent, size) pairs: {missing[:8]}")
     return sizes
 
 
@@ -220,7 +218,7 @@ def stabilize_anonymous(view, interval) -> tuple[Partition, AnonStabilizerTrace]
     at s* are placed into the full blocks first, and the n mod s* leftover
     agents form one remainder block.
     """
-    sizes = _window(view, interval)
+    sizes = _window(interval)
     peaks = [_restricted_peak(view, i, sizes) for i in range(view.n)]
     counts = Counter(peaks)
     s_star = max(sizes, key=lambda s: (counts[s], -s))
@@ -251,7 +249,7 @@ def stabilize_single_peaked(view, ordering, interval) -> tuple[Partition, AnonSt
     """
     n = view.n
     ordering = check_ordering(ordering, n)
-    sizes = _window(view, interval)
+    sizes = _window(interval)
     ordered_sizes = tuple(s for s in ordering if s in sizes)
     missing = [s for s in sizes if s not in ordered_sizes]
     if missing:

@@ -253,19 +253,18 @@ def _first_meeting(pool: int, hit: int, s: int, limit: int) -> list[int]:
     return [mask_of(c) for c in islice(combinations(order, s), limit)]
 
 
-def exact_blocking(
-    game, partition: Partition, dist=None, witness_cap: int = WITNESS_CAP
-) -> BlockingReport:
+def exact_blocking(game, partition: Partition, dist=None) -> BlockingReport:
     """Count the core-blocking coalitions among all 2^n - 1 non-empty ones.
 
     When ``dist`` is given the report also carries the exact blocking mass.
+    The report keeps the first ``WITNESS_CAP`` blockers as witnesses.
     Fractional games are censused bit-parallel behind the subset guard,
     witnesses in ascending mask order. Anonymous games are counted in closed
     form at any n, witnesses by ascending size, then as lexicographic
     combinations of the improving agents.
     """
     census = _census(game, partition)
-    counts, witness_masks, _ = census.count(witness_cap)
+    counts, witness_masks, _ = census.count(WITNESS_CAP)
     total = (1 << census.n) - 1
     blocking = sum(counts)
     return BlockingReport(
@@ -306,23 +305,16 @@ def _blocking_mass(census, dist, counts=None) -> Fraction:
 
 
 def mc_blocking(
-    game,
-    partition: Partition,
-    dist,
-    m: int,
-    delta: float = 0.05,
-    seed: int | None = None,
-    rng: random.Random | None = None,
+    game, partition: Partition, dist, m: int, delta: float = 0.05, *, rng: random.Random
 ) -> McEstimate:
     """Estimate the blocking probability of ``partition`` from m independent draws.
 
-    The confidence radius is the two-sided Hoeffding half-width
-    sqrt(ln(2/delta) / (2m)).
+    The draws come from ``dist.sample(rng)``, one after another, so a seeded
+    ``random.Random`` makes the estimate reproducible. The confidence radius
+    is the two-sided Hoeffding half-width sqrt(ln(2/delta) / (2m)).
     """
     if m < 1:
         raise ValueError("need at least one sample")
-    if rng is None:
-        rng = random.Random(seed)
     pred = blocker_predicate(game, partition)
     hits = sum(1 for _ in range(m) if pred(dist.sample(rng).mask))
     return McEstimate(
@@ -359,14 +351,13 @@ class SpLemmaReport:
 
     Checks that no blocker touches the at-peak agents placed in full-size
     blocks, that no window-sized blocker mixes the before-peak and after-peak
-    camps, and that the number of window-sized blockers stays below the
-    2^(3n/4 + 1) ceiling.
+    camps, and, as ``count_ok``, that the number of window-sized blockers is
+    at most the 2^(3n/4 + 1) ceiling, compared exactly.
     """
 
     ok: bool
     blockers: int
     blockers_in_window: int
-    window_bound: float
     count_ok: bool
     at_peak_violations: tuple[Coalition, ...] = ()
     mixing_violations: tuple[Coalition, ...] = ()
@@ -414,15 +405,10 @@ def check_sp_lemmas(
             mixing_violations += _mixing_witnesses(improve[s], before_mask, after_mask, s, room)
     in_window = sum(total[s] for s in range(1, n + 1) if s in size_set)
     count_ok = in_window**4 <= 1 << (3 * n + 4)  # in_window <= 2^(3n/4 + 1), exactly
-    try:
-        bound = 2.0 ** (3 * n / 4 + 1)
-    except OverflowError:  # n >= 1364
-        bound = math.inf
     return SpLemmaReport(
         ok=not at_violations and not mixing_violations and count_ok,
         blockers=sum(total),
         blockers_in_window=in_window,
-        window_bound=bound,
         count_ok=count_ok,
         at_peak_violations=tuple(map(Coalition, at_violations)),
         mixing_violations=tuple(map(Coalition, mixing_violations)),

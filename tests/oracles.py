@@ -209,8 +209,8 @@ def simulate_fhg_construction(adj_rows, pool_size, loop_budget, degree_cut):
 #
 # The packers as first written: the window normalised by hand, restricted
 # peaks found by a strict-improvement scan, sizes tallied in a dict and the
-# single-peaked position h* found by a counting loop. ``view`` needs only n,
-# has_size(i, s) and value_of_size(i, s). Each returns the blocks as masks in
+# single-peaked position h* found by a counting loop. ``view`` needs only n
+# and value_of_size(i, s). Each returns the blocks as masks in
 # output order and the trace as the dict dataclasses.asdict gives for the
 # package's AnonStabilizerTrace.
 
@@ -218,7 +218,6 @@ def simulate_fhg_construction(adj_rows, pool_size, loop_budget, degree_cut):
 def _reference_window(view, interval):
     sizes = tuple(sorted(getattr(interval, "sizes", interval)))
     assert sizes, "empty size window"
-    assert all(view.has_size(i, s) for i in range(view.n) for s in sizes), "unknown valuations"
     return sizes
 
 

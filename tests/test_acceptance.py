@@ -94,7 +94,7 @@ def test_a2_mc_calibration():
         partition = random_partition(12, seed=4000 + k)
         dist = UniformCoalitions(12)
         exact = float(exact_blocking_mass(game, partition, dist))
-        est = mc_blocking(game, partition, dist, m=100_000, delta=0.01, seed=5000 + k)
+        est = mc_blocking(game, partition, dist, m=100_000, delta=0.01, rng=random.Random(5000 + k))
         if abs(est.p_hat - exact) <= est.ci_halfwidth:
             contained += 1
     ok = budget.done(contained >= 19, f"{contained}/20 CIs contain the exact mass")

@@ -1,7 +1,9 @@
 """The public API: every exported name resolves, and each operation has one name."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -9,14 +11,21 @@ import pytest
 
 import epsfc
 from epsfc import (
+    AdversarialBounded,
     AnonymousHG,
     Coalition,
     FamilyUniform,
+    LearnedAnonymous,
     Partition,
     SimpleFHG,
+    SizeInterval,
+    SpLemmaReport,
+    UnderdeterminedError,
     distributions,
     errors,
+    exact_blocking,
     games,
+    mc_blocking,
 )
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(epsfc.__path__) if m.name != "__main__")
@@ -65,7 +74,30 @@ def test_package_imports_exist():
         (SimpleFHG, "degree"),
         (AnonymousHG, "value"),
         (games, "is_individually_rational"),
+        # second sources of one value: the family mass, and whether a value was learned
+        (AdversarialBounded, "p"),
+        (AnonymousHG, "has_size"),
+        (LearnedAnonymous, "has_size"),
+        (LearnedAnonymous, "sizes_known_for_all"),
+        (SizeInterval, "__len__"),
     ],
 )
 def test_deleted_alias_stays_deleted(owner, name):
     assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize(
+    "function, name",
+    [
+        (mc_blocking, "seed"),
+        (exact_blocking, "witness_cap"),
+        (UnderdeterminedError.__init__, "message"),
+    ],
+)
+def test_deleted_parameter_stays_deleted(function, name):
+    assert name not in inspect.signature(function).parameters
+
+
+def test_sp_lemma_report_has_one_bound_test():
+    # a field without a default is invisible to hasattr on the class
+    assert "window_bound" not in {f.name for f in dataclasses.fields(SpLemmaReport)}

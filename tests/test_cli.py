@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -361,6 +362,10 @@ class TestMalformedFiles:
             ("partition", '{"blocks":[[1,2],[2,3]]}', f'"blocks" {MALFORMED}agent 2 is in two blocks'),
             ("partition", '{"blocks":[[1,2]]}', f'"blocks" {MALFORMED}agent 3 is in no block'),
             ("partition", '{"blocks":[[1,2,3],[]]}', f'"blocks" {MALFORMED}a block is empty'),
+            # a self-loop names its agent 1-based, as the file does
+            ("game", '{"kind":"fhg","adj":[[1]]}', f'"adj" {MALFORMED}agent 1 points to itself'),
+            ("game", '{"kind":"fhg","adj":[[0,1,0],[1,0,0],[0,1,1]]}',
+             f'"adj" {MALFORMED}agent 3 points to itself'),
         ],
     )
     def test_wrong_json_shape_is_a_usage_error(self, tmp_path, capsys, role, text, field):
@@ -445,6 +450,37 @@ class TestExperiment:
         assert run("experiment", "--config", cfg, "--out", out) == 0
         assert ran == list(range(k, 4))
         assert out.read_bytes() == fresh.read_bytes()
+
+    def test_every_row_names_its_config(self, tmp_path):
+        cfg = self._config(tmp_path, n=[6], p=[0.5], seeds=[0, 1], mc=0)
+        out = tmp_path / "grid.csv"
+        assert run("experiment", "--config", cfg, "--out", out) == 0
+        text = json.dumps(cli._read_config(cfg), sort_keys=True)
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert [r["config"] for r in csv.DictReader(out.open())] == [digest, digest]
+
+    @pytest.mark.parametrize("edit", [{"n": [8]}, {"seed": 43}, {"mc": 100}])
+    def test_csv_of_another_config_refused_untouched(self, tmp_path, monkeypatch, capsys, edit):
+        out = tmp_path / "grid.csv"
+        assert run("experiment", "--config", self._config(tmp_path, n=[6], p=[0.5]), "--out", out) == 0
+        before = out.read_bytes()
+        old = next(csv.DictReader(out.open()))["config"]
+        cfg = self._config(tmp_path, **{"n": [6], "p": [0.5], **edit})
+        text = json.dumps(cli._read_config(cfg), sort_keys=True)
+        new = hashlib.sha256(text.encode()).hexdigest()[:16]
+        monkeypatch.setattr(cli, "_run_cell", lambda config, cell: pytest.fail("a cell ran"))
+        capsys.readouterr()
+        for jobs in (1, 2):
+            assert run("experiment", "--config", cfg, "--out", out, "--jobs", jobs) == 2
+            err = capsys.readouterr().err
+            assert f"usage: {out}: cell 0 ran under config {old}, not {new}" in err
+        assert out.read_bytes() == before
+
+    def test_seed_flag_is_gone(self, tmp_path):
+        cfg = self._config(tmp_path, n=[6], p=[0.5], seeds=[0], mc=0)
+        out = tmp_path / "grid.csv"
+        assert run("experiment", "--config", cfg, "--out", out, "--seed", 1) == 2
+        assert not out.exists()
 
     def test_csv_with_another_header_refused_before_any_cell(self, tmp_path, monkeypatch):
         out = tmp_path / "grid.csv"

@@ -109,7 +109,7 @@ class TestAdversarial:
         fam = [Coalition(m) for m in range(1, 1 << 3)] + [Coalition.of(3, 4)]
         lam = 6
         d = AdversarialBounded(fam, 5, lam)
-        assert d.p == Fraction(lam, 8 * (lam - 1) + (1 << 5) - 1)
+        assert d.family_mass == Fraction(lam, 8 * (lam - 1) + (1 << 5) - 1)
 
     def test_lambda_one_is_uniform(self):
         d = AdversarialBounded([Coalition.of(0)], 3, 1)

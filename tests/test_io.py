@@ -106,7 +106,7 @@ class TestDistributionSpecs:
         assert eio.distribution_to_dict(adv)["lambda"] == "7/3"
         spec = json.loads(json.dumps(eio.distribution_to_dict(adv)))
         back = eio.distribution_from_dict(spec, 4)
-        assert (back.lam, back.p, back.family) == (adv.lam, adv.p, adv.family)
+        assert (back.lam, back.family_mass, back.family) == (adv.lam, adv.family_mass, adv.family)
 
     def test_plain_numbers_still_read(self):
         d = eio.distribution_from_dict({"kind": "size_tilted", "g": [0.5, 1, 2]}, 3)
@@ -121,7 +121,7 @@ class TestDistributionSpecs:
         spec = {"kind": "adversarial", "family": [[1], [1, 2]], "lambda": 3}
         d = eio.distribution_from_dict(spec, 4)
         assert d.lam == 3
-        assert d.p == Fraction(3, 2 * 2 + 2**4 - 1)
+        assert d.family_mass == Fraction(3, 2 * 2 + 2**4 - 1)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

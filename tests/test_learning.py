@@ -365,9 +365,10 @@ class TestIterableSamples:
         assert from_gen.m == from_list.m == 400
         assert from_gen.mu_hat == from_list.mu_hat
         assert from_gen.known_table() == from_list.known_table()
-        for i in range(6):
-            for s in from_list.sizes_known_for_all():
-                assert from_gen.value_of_size(i, s) == from_list.value_of_size(i, s)
+        for i, row in enumerate(from_list.known_table()):
+            for s in range(1, 7):
+                if row[s - 1]:
+                    assert from_gen.value_of_size(i, s) == from_list.value_of_size(i, s)
 
 
     def test_iter_samples_is_lazy_and_matches_draw_samples(self):
@@ -398,9 +399,9 @@ def test_anonymous_fold_at_the_paper_sample_size():
         tracemalloc.stop()
     assert learned.m == m
     assert peak < 200 * 2**20
-    for i in range(n):
+    for i, row in enumerate(learned.known_table()):
         for s in range(1, n + 1):
-            if learned.has_size(i, s):
+            if row[s - 1]:
                 assert learned.value_of_size(i, s) == game.value_of_size(i, s)
 
 
@@ -408,14 +409,13 @@ class TestLearnAnonymous:
     def test_single_pair_sample(self):
         rec = SampleRecord(Coalition.of(0, 1), {0: 0.5, 1: 0.5})
         learned = learn_anonymous(2, [rec])
-        assert learned.has_size(0, 2) and learned.has_size(1, 2)
-        assert not learned.has_size(0, 1)
+        assert learned.known_table() == [[False, True], [False, True]]
         assert learned.value_of_size(0, 2) == 0.5
         assert learned.mu_hat == 2.0
 
     def test_no_samples_mu_undefined(self):
         learned = learn_anonymous(3, [])
-        assert learned.sizes_known_for_all() == ()
+        assert learned.known_table() == [[False] * 3] * 3
         with pytest.raises(LearningError):
             _ = learned.mu_hat
 
@@ -437,10 +437,10 @@ class TestLearnAnonymous:
         records = draw_samples(g, UniformCoalitions(n), 3000, rng)
         learned = learn_anonymous(n, records)
         observed = {(i, r.coalition.size) for r in records for i in r.coalition}
-        for i in range(n):
+        for i, row in enumerate(learned.known_table()):
             for s in range(1, n + 1):
-                assert learned.has_size(i, s) == ((i, s) in observed)
-                if learned.has_size(i, s):
+                assert row[s - 1] == ((i, s) in observed)
+                if row[s - 1]:
                     assert learned.value_of_size(i, s) == g.value_of_size(i, s)
 
     def test_mu_hat_is_sample_mean(self):
@@ -514,7 +514,7 @@ class TestEmpiricalGuarantees:
         for t in range(trials):
             rng = random.Random(501 + t)
             learned = learn_anonymous(n, draw_samples(game, dist, m, rng))
-            if set(window.sizes) <= set(learned.sizes_known_for_all()):
+            if all(row[s - 1] for row in learned.known_table() for s in window.sizes):
                 hits += 1
         assert hits >= math.floor(trials * (1 - delta))
 

@@ -291,8 +291,16 @@ class TestStabilizeAnonymous:
             stabilize_single_peaked(g, (1, 2, 3, 4), set())
 
     def test_unobserved_window_size(self):
-        with pytest.raises(LearningError, match="valuations missing"):
+        with pytest.raises(LearningError, match="agent 0's value at size 1 was never observed"):
             stabilize_anonymous(LearnedAnonymous(3), [1, 2])
+
+    def test_window_size_outside_the_game(self):
+        # an exact game has every value in 1..n, so a size outside it is the caller's error
+        g = random_anon(4, 1)
+        with pytest.raises(ValueError, match="coalition size 0 outside"):
+            stabilize_anonymous(g, [0, 2])
+        with pytest.raises(ValueError, match="lacks the window sizes"):
+            stabilize_single_peaked(g, (1, 2, 3, 4), [2, 5])
 
     def test_deterministic(self):
         g = random_anon(9, 4)

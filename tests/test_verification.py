@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -38,6 +39,7 @@ from epsfc import (
     stabilize_fhg,
     stabilize_single_peaked,
 )
+from epsfc.games import mask_of
 from epsfc.verification import WITNESS_CAP, blocker_predicate, partition_from_assignment
 from oracles import (
     anon_blocking_count_closed_form,
@@ -88,7 +90,7 @@ class TestExactBlocking:
             exact_blocking,
             lambda g, p: gr_decomposition(g, p, [0]),
             lambda g, p: exact_blocking_mass(g, p, UniformCoalitions(4)),
-            lambda g, p: mc_blocking(g, p, UniformCoalitions(4), 10, seed=0),
+            lambda g, p: mc_blocking(g, p, UniformCoalitions(4), 10, rng=random.Random(0)),
             lambda g, p: find_core_stable_partition(g),
         ],
         ids=["predicate", "has_blocker", "exact", "gr", "mass", "mc", "core_search"],
@@ -148,13 +150,21 @@ class TestExactBlocking:
         for w in report.witnesses:
             assert naive_fhg_blocks(g.matrix(), block_lists, w.mask)
 
-    def test_witness_cap(self):
-        g = SimpleFHG.from_matrix(
-            [[1 if i != j else 0 for j in range(10)] for i in range(10)]
-        )
-        report = exact_blocking(g, Partition.singletons(10), witness_cap=7)
-        assert len(report.witnesses) == 7
-        assert report.blocking_count > 7
+    @pytest.mark.parametrize("klass", ["fhg", "anon"])
+    def test_witness_cap(self, klass):
+        # on singletons every coalition of two or more of the 10 agents blocks
+        n = 10
+        if klass == "fhg":
+            g = complete_digraph(n)
+            order = range(1, 1 << n)  # ascending mask
+        else:
+            g = AnonymousHG([[0] + [1] * (n - 1)] * n)
+            # ascending size, then lexicographic in agent ids
+            order = [mask_of(c) for s in range(1, n + 1) for c in combinations(range(n), s)]
+        report = exact_blocking(g, Partition.singletons(n))
+        assert report.blocking_count == 2**n - 1 - n == 1013
+        first = [m for m in order if m.bit_count() >= 2][:WITNESS_CAP]
+        assert [w.mask for w in report.witnesses] == first
 
     def test_guard(self, monkeypatch):
         monkeypatch.setenv("EPSFC_MAX_N", "6")
@@ -275,15 +285,15 @@ class TestMassModel:
 class TestMcBlocking:
     def test_zero_blockers_always_zero(self):
         g = complete_digraph(8)
-        est = mc_blocking(g, Partition.grand(8), UniformCoalitions(8), 2000, seed=1)
+        est = mc_blocking(g, Partition.grand(8), UniformCoalitions(8), 2000, rng=random.Random(1))
         assert est.hits == 0 and est.p_hat == 0.0
 
     def test_halfwidth_scaling(self):
         g = random_fhg(6, 0.5, 3)
         p = Partition.singletons(6)
         d = UniformCoalitions(6)
-        a = mc_blocking(g, p, d, 1000, delta=0.05, seed=2)
-        b = mc_blocking(g, p, d, 4000, delta=0.05, seed=2)
+        a = mc_blocking(g, p, d, 1000, delta=0.05, rng=random.Random(2))
+        b = mc_blocking(g, p, d, 4000, delta=0.05, rng=random.Random(2))
         assert a.ci_halfwidth == pytest.approx(2 * b.ci_halfwidth)
         assert a.ci_halfwidth == pytest.approx(math.sqrt(math.log(2 / 0.05) / 2000))
 
@@ -293,20 +303,50 @@ class TestMcBlocking:
         d = UniformCoalitions(10)
         exact = float(exact_blocking_mass(g, p, d))
         for m in (1000, 10_000, 100_000):
-            est = mc_blocking(g, p, d, m, delta=0.01, seed=5)
+            est = mc_blocking(g, p, d, m, delta=0.01, rng=random.Random(5))
             assert abs(est.p_hat - exact) <= est.ci_halfwidth
 
     def test_oracle_callable(self):
         # Every agent values size 2 alone, so the singletons' blockers are exactly the pairs.
         g = AnonymousHG([[0, 1, 0, 0, 0]] * 5)
-        est = mc_blocking(g, Partition.singletons(5), UniformCoalitions(5), 5000, seed=9)
+        est = mc_blocking(g, Partition.singletons(5), UniformCoalitions(5), 5000, rng=random.Random(9))
         assert est.p_hat == pytest.approx(10 / 31, abs=0.03)
 
     def test_seeded_determinism(self):
         g = random_anon(7, 1)
         p = random_partition(7, 1)
         d = UniformCoalitions(7)
-        assert mc_blocking(g, p, d, 500, seed=4) == mc_blocking(g, p, d, 500, seed=4)
+        a = mc_blocking(g, p, d, 500, rng=random.Random(4))
+        assert a == mc_blocking(g, p, d, 500, rng=random.Random(4))
+
+    @pytest.mark.parametrize("klass", ["fhg", "anon"])
+    @pytest.mark.parametrize("kind", ["uniform", "size_tilted", "family", "adversarial"])
+    def test_consumes_the_stream_draw_by_draw(self, klass, kind):
+        # the hits are the blockers among m successive dist.sample(rng) draws, nothing else
+        n, m = 7, 200
+        g = random_fhg(n, 0.5, 3) if klass == "fhg" else random_anon(n, 3)
+        p = random_partition(n, 4)
+        family = [Coalition(mask) for mask in range(1, 1 << n, 5)]
+        d = {
+            "uniform": UniformCoalitions(n),
+            "size_tilted": SizeTilted(n, [1, 2, 3, 4, 3, 2, 1]),
+            "family": FamilyUniform(family, n),
+            "adversarial": AdversarialBounded(family, n, 3),
+        }[kind]
+        pred = blocker_predicate(g, p)
+        rng = random.Random(6)
+        expected = [d.sample(rng).mask for _ in range(m)]
+        assert mc_blocking(g, p, d, m, rng=random.Random(6)).hits == sum(map(pred, expected))
+        # the same draws in the same order: rejection sampling can bring a stream
+        # with one extra or one skipped call back into step, hits and state alike
+        drawn = []
+
+        def sample(rng):
+            drawn.append(d.sample(rng))
+            return drawn[-1]
+
+        mc_blocking(g, p, SimpleNamespace(sample=sample), m, rng=random.Random(6))
+        assert [c.mask for c in drawn] == expected
 
 
 class TestGreenAudit:
@@ -361,8 +401,8 @@ class TestSpLemmas:
         window = self._window(n)
         partition, trace = stabilize_single_peaked(g, ordering, window)
         report = check_sp_lemmas(g, partition, window, trace)
-        assert report.ok
-        assert report.blockers_in_window <= report.window_bound
+        assert report.ok and report.count_ok
+        assert report.blockers_in_window <= 2 ** (3 * n / 4 + 1)
 
     def test_needs_a_single_peaked_trace(self):
         n = 8
@@ -397,7 +437,7 @@ class TestSpLemmas:
             if not report.ok:
                 assert report.at_peak_violations or report.mixing_violations
 
-    def test_window_bound_beyond_float_range(self):
+    def test_count_bound_beyond_float_range(self):
         # 2^(3n/4 + 1) overflows a float from n = 1364; the count test stays exact
         n = 1400
         g = AnonymousHG([[1.0] * n] * n)
@@ -405,7 +445,6 @@ class TestSpLemmas:
         report = check_sp_lemmas(g, Partition.grand(n), range(1, n + 1), trace)
         assert report.ok and report.count_ok
         assert report.blockers == 0
-        assert report.window_bound == math.inf
 
     def test_uniform_peaks_no_window_blockers(self):
         row = [0.2, 1.0, 0.6, 0.3, 0.1]
@@ -533,16 +572,15 @@ class TestAnonClosedForm:
     @given(
         st.integers(1, 12),
         st.booleans(),
-        st.integers(0, 2 * WITNESS_CAP),
         st.randoms(use_true_random=False),
     )
     @settings(max_examples=60, deadline=None)
-    def test_census_witnesses_and_gr_split(self, n, single_peaked, cap, rnd):
+    def test_census_witnesses_and_gr_split(self, n, single_peaked, rnd):
         seed = rnd.getrandbits(32)
         g = random_anon_sp(n, seed)[0] if single_peaked else random_anon(n, seed)
         p = random_partition(n, rnd.getrandbits(32))
         found = _blocker_masks(g, p)
-        report = exact_blocking(g, p, UniformCoalitions(n), witness_cap=cap)
+        report = exact_blocking(g, p, UniformCoalitions(n))
         by_size = [0] * (n + 1)
         for m in found:
             by_size[m.bit_count()] += 1
@@ -553,7 +591,7 @@ class TestAnonClosedForm:
         assert report.mass == Fraction(len(found), 2**n - 1)
         # documented order: ascending size, then lexicographic in agent ids
         first = sorted(found, key=lambda m: (m.bit_count(), Coalition(m).members()))
-        assert [w.mask for w in report.witnesses] == first[:cap]
+        assert [w.mask for w in report.witnesses] == first[:WITNESS_CAP]
         assert all(naive_anon_blocks(g.table(), block_lists, w.mask) for w in report.witnesses)
 
         gr = rnd.sample(range(n), rnd.randrange(n + 1))
@@ -687,14 +725,14 @@ def _census_of_scan(game, partition):
 class TestFhgCensus:
     """The bit-parallel fractional census against oracles and a full mask scan."""
 
-    def _check(self, g, p, cap=WITNESS_CAP, gr=()):
+    def _check(self, g, p, gr=()):
         n = g.n
         by_size, found = _census_of_scan(g, p)
-        report = exact_blocking(g, p, UniformCoalitions(n), witness_cap=cap)
+        report = exact_blocking(g, p, UniformCoalitions(n))
         assert list(report.blocking_by_size) == by_size
         assert report.mass == Fraction(len(found), 2**n - 1)
         # documented order: ascending mask
-        assert [w.mask for w in report.witnesses] == found[:cap]
+        assert [w.mask for w in report.witnesses] == found[:WITNESS_CAP]
         gr_mask = sum(1 << i for i in gr)
         dec = gr_decomposition(g, p, gr)
         assert dec.avoiding_gr == 2 ** (n - len(gr)) - 1
@@ -706,18 +744,17 @@ class TestFhgCensus:
         st.integers(1, 12),
         st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
         st.booleans(),
-        st.integers(0, 2 * WITNESS_CAP),
         st.randoms(use_true_random=False),
     )
     @settings(max_examples=60, deadline=None)
-    def test_census_against_oracle_and_scan(self, n, p_edge, stabilized, cap, rnd):
+    def test_census_against_oracle_and_scan(self, n, p_edge, stabilized, rnd):
         g = random_fhg(n, p_edge, rnd.getrandbits(32))
         if stabilized and n >= 2:
             p = stabilize_fhg(g)[0]
         else:
             p = random_partition(n, rnd.getrandbits(32))
         gr = rnd.sample(range(n), rnd.randrange(n + 1))
-        report = self._check(g, p, cap, gr)
+        report = self._check(g, p, gr)
         naive = naive_fhg_blocking_count(g.matrix(), [sorted(b.members()) for b in p.blocks])
         assert report.blocking_count == naive
 
