@@ -21,6 +21,7 @@ import itertools
 import json
 import os
 import random
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -178,7 +179,12 @@ def cmd_stabilize(args) -> int:
             raise UsageError(f"--ordering {args.ordering!r} is not a JSON list "
                              f"permuting the sizes 1..{view.n}") from None
     if klass == "anon-sp" and loaded is not None:
-        ordering = check_single_peaked(view, ordering)
+        try:
+            ordering = check_single_peaked(view, ordering)
+        except ValueError as exc:
+            # The library names agent i 0-based; the game file numbers it i + 1.
+            raise UsageError(re.sub(r"agent (\d+)'s", lambda m: f"agent {int(m[1]) + 1}'s",
+                                    str(exc), count=1)) from None
     elif ordering is None:
         # Sample-driven runs trust the ordering; a partial table cannot be checked.
         ordering = tuple(range(1, view.n + 1))

@@ -6,9 +6,12 @@ rationals so that family masses, means, and tail windows can be checked
 without floating-point slack.
 
 Sampling takes an explicit ``random.Random``: callers own seeding, and
-parallel users hand one independent stream to each worker. All randomness is
-consumed through ``randrange`` so draws are reproducible bit-for-bit for a
-fixed seed.
+parallel users hand one independent stream to each worker. Uniform and
+size-tilted draws go through ``rng.getrandbits`` exactly as ``rng.randrange``
+would for a ``random.Random``: the width's bit length, redrawn until below
+the width. They consume the same bits, so draws are reproducible bit-for-bit
+for a fixed seed; the family draws call ``randrange`` itself. A subclass that
+overrides ``random()`` without ``getrandbits`` is outside that contract.
 
 The classes are the constructors: ``UniformCoalitions(n)``,
 ``SizeTilted(n, g)``, ``FamilyUniform(family, n)`` and
@@ -60,14 +63,36 @@ __all__ = [
 ]
 
 
+def _randbelow(getrandbits, w: int) -> int:
+    """A uniform int in [0, w), drawn as ``randrange(w)`` draws it for a ``random.Random``."""
+    b = w.bit_length()
+    r = getrandbits(b)
+    while r >= w:
+        r = getrandbits(b)
+    return r
+
+
 def _uniform_subset_mask(rng, n: int, s: int) -> int:
-    """Uniform s-subset of [0, n) by partial Fisher-Yates; consumes randrange only."""
+    """Uniform s-subset of [0, n) by partial Fisher-Yates.
+
+    Step k picks j in [k, n) with the bits ``rng.randrange(k, n)`` would draw,
+    inlined from ``_randbelow``, so the masks and the stream left behind are
+    those of the randrange loop. Later steps never read ``idx[k]``, so the
+    swap only moves ``idx[k]`` into slot j.
+    """
+    getrandbits = rng.getrandbits
     idx = list(range(n))
     mask = 0
     for k in range(s):
-        j = rng.randrange(k, n)
-        idx[k], idx[j] = idx[j], idx[k]
-        mask |= 1 << idx[k]
+        w = n - k
+        b = w.bit_length()
+        r = getrandbits(b)
+        while r >= w:
+            r = getrandbits(b)
+        j = k + r
+        pick = idx[j]
+        idx[j] = idx[k]
+        mask |= 1 << pick
     return mask
 
 
@@ -126,7 +151,7 @@ class UniformCoalitions(_MassModel):
         self.total = (1 << n) - 1
 
     def sample(self, rng) -> Coalition:
-        return Coalition(rng.randrange(1, 1 << self.n))
+        return Coalition(1 + _randbelow(rng.getrandbits, self.total))
 
     def unit_mass_of_size(self, s: int) -> Fraction:
         return Fraction(1, self.total)
@@ -169,7 +194,7 @@ class SizeTilted(_MassModel):
         self._total = acc
 
     def sample(self, rng) -> Coalition:
-        k = rng.randrange(self._total)
+        k = _randbelow(rng.getrandbits, self._total)
         s = bisect_right(self._cum, k) + 1
         return Coalition(_uniform_subset_mask(rng, self.n, s))
 

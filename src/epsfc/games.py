@@ -18,6 +18,7 @@ are unimodal along it, and raises otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PartitionError
@@ -145,6 +146,12 @@ class Partition:
         return f"Partition([{inner}], n={self.n})"
 
 
+@lru_cache(maxsize=256)
+def _shares(size: int) -> tuple[Fraction, ...]:
+    """``Fraction(k, size)`` for k = 0..size, built once per size and shared; none for size 0."""
+    return tuple(Fraction(k, size) for k in range(size + 1)) if size else ()
+
+
 class SimpleFHG:
     """Simple fractional game: an unweighted digraph over the agents.
 
@@ -185,8 +192,9 @@ class SimpleFHG:
 
     def member_values(self, coalition: Coalition) -> dict[int, Fraction]:
         """Every member's value of ``coalition``, in ascending member order."""
-        mask, size, adj = coalition.mask, coalition.size, self.adj_masks
-        return {i: Fraction((adj[i] & mask).bit_count(), size) for i in bits_of(mask)}
+        mask, adj = coalition.mask, self.adj_masks
+        shares = _shares(coalition.size)
+        return {i: shares[(adj[i] & mask).bit_count()] for i in bits_of(mask)}
 
     def __eq__(self, other) -> bool:
         return (

@@ -7,7 +7,7 @@ recomputation, and Fraction arithmetic. Keep it that way.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Sequence
 
 
@@ -425,3 +425,60 @@ def reference_validate_partition(blocks, n: int) -> ReferencePartitionCheck:
         tuple(sorted(out_of_range)),
         empty,
     )
+
+
+# --- randrange samplers ---
+#
+# The uniform and size-tilted coalition samplers as they were written on
+# ``rng.randrange``, before the package drew the same bits through
+# ``getrandbits``. Kept as the stream each package sampler must reproduce.
+
+
+def reference_subset_mask(rng, n, s):
+    """Uniform s-subset of [0, n) by partial Fisher-Yates with full swaps."""
+    idx = list(range(n))
+    mask = 0
+    for k in range(s):
+        j = rng.randrange(k, n)
+        idx[k], idx[j] = idx[j], idx[k]
+        mask |= 1 << idx[k]
+    return mask
+
+
+def reference_uniform_sample(rng, n):
+    """Mask of a uniform non-empty subset of [0, n)."""
+    return rng.randrange(1, 1 << n)
+
+
+def reference_size_tilted_sampler(n, size_weights):
+    """A draw function rng -> mask with P(S) proportional to size_weights[|S| - 1].
+
+    The size is the first s whose cumulative integer weight, over the least
+    common denominator of g(s) * C(n, s), exceeds ``randrange`` of the total.
+    """
+    weights = [Fraction(size_weights[s - 1]) * comb(n, s) for s in range(1, n + 1)]
+    den = 1
+    for w in weights:
+        den = den * w.denominator // gcd(den, w.denominator)
+    ints = [int(w * den) for w in weights]
+
+    def sample(rng):
+        k = rng.randrange(sum(ints))
+        acc = 0
+        for s, w in enumerate(ints, start=1):
+            acc += w
+            if k < acc:
+                return reference_subset_mask(rng, n, s)
+        raise AssertionError("cumulative weights never passed the draw")
+
+    return sample
+
+
+def reference_fhg_draws(adj_rows, dist, m, rng):
+    """(mask, {member: Fraction(out-neighbours inside, size)}) for m draws of ``dist``,
+    each value built as a fresh Fraction."""
+    draws = []
+    for _ in range(m):
+        mask = dist.sample(rng).mask
+        draws.append((mask, {i: naive_fhg_value(adj_rows, i, mask) for i in members_of(mask)}))
+    return draws

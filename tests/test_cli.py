@@ -207,8 +207,20 @@ class TestStabilize:
         capsys.readouterr()
         assert run("stabilize", "--class", "anon-sp", "--game", game, "--eps", 0.5, "--out", out) == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: not single-peaked: agent 0's value along the ordering (1, 2,")
+        # the game file numbers this agent 1; the library's message says agent 0
+        assert err.startswith("usage: not single-peaked: agent 1's value along the ordering (1, 2,")
+        assert "agent 0" not in err
         assert err.rstrip().endswith("from position 3 to 4") and not out.exists()
+
+    def test_not_single_peaked_agent_is_the_file_row(self, tmp_path, capsys):
+        game = tmp_path / "g.json"
+        out = tmp_path / "p.json"
+        game.write_text('{"kind":"anon","vals":[[1,2,3],[3,2,1],[2,1,2]]}')
+        assert run("stabilize", "--class", "anon-sp", "--game", game, "--eps", 0.5, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == ("usage: not single-peaked: agent 3's value along the ordering (1, 2, 3) "
+                       "falls and then rises from position 2 to 3\n")
+        assert not out.exists()
 
     def test_ordering_permutation_accepted(self, tmp_path):
         game = tmp_path / "g.json"

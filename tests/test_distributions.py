@@ -18,7 +18,13 @@ from epsfc import (
     mean_size_bounds,
     size_interval,
 )
-from oracles import brute_point_masses
+from epsfc.distributions import _uniform_subset_mask
+from oracles import (
+    brute_point_masses,
+    reference_size_tilted_sampler,
+    reference_subset_mask,
+    reference_uniform_sample,
+)
 
 
 class TestPointMasses:
@@ -167,6 +173,77 @@ class TestSampling:
         d = FamilyUniform(support, n=3)
         rng = random.Random(9)
         assert {d.sample(rng).mask for _ in range(500)} == {c.mask for c in support}
+
+
+def workload_weights(n):
+    """The size weights (n - 1 + s)/(n - 1) that the n = 60 learning benchmark tilts by."""
+    return [Fraction(n - 1 + s, n - 1) for s in range(n)] if n > 1 else [1]
+
+
+def same_stream(draw, reference, seed, count):
+    """Whether ``draw`` and ``reference`` give the same ``count`` masks from one seed
+    and leave the generator in the same state (the next ``random()`` agrees)."""
+    a, b = random.Random(seed), random.Random(seed)
+    ours = [draw(a) for _ in range(count)]
+    theirs = [reference(b) for _ in range(count)]
+    return ours == theirs and a.random() == b.random()
+
+
+class TestStreamIdentity:
+    """The samplers draw through getrandbits the bits the randrange samplers drew."""
+
+    NS = range(1, 70)
+    SEEDS = range(5)
+
+    def test_subset_mask(self):
+        for n in self.NS:
+            for s in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+                for seed in self.SEEDS:
+                    assert same_stream(
+                        lambda rng: _uniform_subset_mask(rng, n, s),
+                        lambda rng: reference_subset_mask(rng, n, s),
+                        seed, 5,
+                    ), (n, s, seed)
+
+    def test_uniform(self):
+        for n in self.NS:
+            d = UniformCoalitions(n)
+            for seed in self.SEEDS:
+                assert same_stream(
+                    lambda rng: d.sample(rng).mask,
+                    lambda rng: reference_uniform_sample(rng, n),
+                    seed, 20,
+                ), (n, seed)
+
+    def test_size_tilted(self):
+        picker = random.Random(2024)
+        for n in self.NS:
+            uneven = [Fraction(picker.randint(1, 9), picker.randint(1, 9)) for _ in range(n)]
+            for g in ([1] * n, workload_weights(n), uneven):
+                d = SizeTilted(n, g)
+                for seed in self.SEEDS:
+                    assert same_stream(
+                        lambda rng: d.sample(rng).mask,
+                        reference_size_tilted_sampler(n, g),
+                        seed, 20,
+                    ), (n, g, seed)
+
+    # The first eight masks from random.Random(0) at n = 60, recorded from the
+    # randrange samplers: they catch a drift that the oracle shares.
+    def test_uniform_pin(self):
+        rng = random.Random(0)
+        assert [UniformCoalitions(60).sample(rng).mask for _ in range(8)] == [
+            0x629F6FBD82C07CE, 0xE3E7068C2094CAD, 0xA5D2F36BAA9456, 0xF728B4F42485E3B,
+            0x7C65C1E82E2E663, 0xEB1167B67A9C379, 0xD4713D6C8A7063A, 0xF7C1BD84DA5E70A,
+        ]
+
+    def test_size_tilted_pin(self):
+        d = SizeTilted(60, workload_weights(60))
+        rng = random.Random(0)
+        assert [d.sample(rng).mask for _ in range(8)] == [
+            0x6D06922FAF1000E, 0x6089F30144D62AB, 0xEB68EEF6287F62C, 0xAF57850C00078B5,
+            0xF8319AD2B74EEF0, 0x3324EA8458EB9B6, 0x56E1836078CCA12, 0x4673BAF36B78F07,
+        ]
 
 
 class TestBartlettBounds:

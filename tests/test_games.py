@@ -17,6 +17,7 @@ from epsfc import (
     exact_blocking,
     is_individually_rational,
 )
+from epsfc.games import _shares
 from epsfc.instances import random_anon, random_fhg, random_partition
 from epsfc.verification import blocker_predicate
 from oracles import (
@@ -70,6 +71,46 @@ class TestValue:
             c = Coalition(mask)
             for v in g.member_values(c).values():
                 assert 0 <= v <= Fraction(c.size - 1, c.size)
+
+
+@st.composite
+def _fhg_and_mask(draw):
+    n = draw(st.integers(1, 70))
+    rows = [draw(st.integers(0, (1 << n) - 1)) & ~(1 << i) for i in range(n)]
+    return SimpleFHG(n, rows), draw(st.integers(1, (1 << n) - 1))
+
+
+def direct_values(game, mask):
+    """Each member's value built as a fresh Fraction."""
+    size = mask.bit_count()
+    return {
+        i: Fraction((game.adj_masks[i] & mask).bit_count(), size)
+        for i in range(game.n)
+        if mask >> i & 1
+    }
+
+
+class TestSharedFractions:
+    @given(_fhg_and_mask())
+    @settings(max_examples=300, deadline=None)
+    def test_member_values_equal_direct_fractions(self, case):
+        game, mask = case
+        values = game.member_values(Coalition(mask))
+        assert values == direct_values(game, mask)
+        assert list(values) == sorted(values)
+
+    def test_values_rebuilt_after_eviction(self):
+        # More distinct sizes than the table keeps, visited up and then down,
+        # so the second pass rebuilds sizes the first pass evicted.
+        n = _shares.cache_info().maxsize + 40
+        rng = random.Random(5)
+        game = SimpleFHG(n, [rng.getrandbits(n) & ~(1 << i) for i in range(n)])
+        for size in [*range(1, n + 1), *range(n, 0, -1)]:
+            mask = sum(1 << i for i in rng.sample(range(n), size))
+            assert game.member_values(Coalition(mask)) == direct_values(game, mask)
+
+    def test_empty_coalition_has_no_values(self):
+        assert random_fhg(4, 0.5, 1).member_values(Coalition(0)) == {}
 
 
 class TestBlocks:

@@ -15,6 +15,7 @@ from epsfc import (
     LearningError,
     SampleRecord,
     SimpleFHG,
+    SizeTilted,
     UnderdeterminedError,
     UniformCoalitions,
     anon_sample_size,
@@ -29,7 +30,7 @@ from epsfc import (
 )
 from epsfc.instances import random_anon, random_fhg
 from epsfc.learning import _solve_gf2
-from oracles import fhg_row_solutions, members_of
+from oracles import fhg_row_solutions, members_of, reference_fhg_draws
 
 
 class TestSampleRecord:
@@ -87,6 +88,17 @@ class TestSampleRecord:
             assert not expected_ok
         else:
             assert expected_ok
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 60])
+def test_draw_samples_match_fresh_fractions(n):
+    game = random_fhg(n, 0.3, n)
+    tilted = SizeTilted(n, [Fraction(n + s, n) for s in range(n)])
+    for dist in (UniformCoalitions(n), tilted):
+        for seed in range(4):
+            records = draw_samples(game, dist, 60, random.Random(seed))
+            expected = reference_fhg_draws(game.matrix(), dist, 60, random.Random(seed))
+            assert records == [SampleRecord(Coalition(m), vals) for m, vals in expected]
 
 
 class TestSampleSizes:
