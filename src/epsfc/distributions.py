@@ -43,6 +43,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -72,27 +73,40 @@ def _randbelow(getrandbits, w: int) -> int:
     return r
 
 
+@lru_cache(maxsize=64)
+def _draw_plan(n: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """The partial Fisher-Yates steps over [0, n) and the agents' bits.
+
+    Step k draws below the width w = n - k on w's bit length, so ``steps``
+    holds ``(k, w, w.bit_length())`` for k < n and ``powers`` holds
+    ``1 << i`` for i < n. The cache keeps the 64 most recent n, so a
+    sweep over many n cannot grow it without limit.
+    """
+    steps = tuple((k, n - k, (n - k).bit_length()) for k in range(n))
+    return steps, tuple(1 << i for i in range(n))
+
+
 def _uniform_subset_mask(rng, n: int, s: int) -> int:
     """Uniform s-subset of [0, n) by partial Fisher-Yates.
 
-    Step k picks j in [k, n) with the bits ``rng.randrange(k, n)`` would draw,
-    inlined from ``_randbelow``, so the masks and the stream left behind are
-    those of the randrange loop. Later steps never read ``idx[k]``, so the
-    swap only moves ``idx[k]`` into slot j.
+    The steps come from the cached ``_draw_plan(n)``, and the slots hold each
+    agent's bit rather than its id. Step k picks j in [k, n) with the bits
+    ``rng.randrange(k, n)`` would draw, inlined from ``_randbelow`` (width 1
+    too: it still redraws until 0), so the masks and the stream left behind
+    are those of the randrange loop. Later steps never read slot k, so the
+    swap only moves slot k's bit into slot j.
     """
+    steps, powers = _draw_plan(n)
     getrandbits = rng.getrandbits
-    idx = list(range(n))
+    idx = list(powers)
     mask = 0
-    for k in range(s):
-        w = n - k
-        b = w.bit_length()
+    for k, w, b in steps[:s]:
         r = getrandbits(b)
         while r >= w:
             r = getrandbits(b)
-        j = k + r
-        pick = idx[j]
-        idx[j] = idx[k]
-        mask |= 1 << pick
+        r += k
+        mask |= idx[r]
+        idx[r] = idx[k]
     return mask
 
 

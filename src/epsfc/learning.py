@@ -3,14 +3,17 @@
 Simple fractional games are recovered exactly: every sample containing agent
 i is one linear equation over i's unknown arc indicators (the sum of
 indicators over the other members equals value * size, an integer), and the
-per-agent systems are solved in exact arithmetic. A GF(2) elimination on the
-raw n-bit masks (bit i clear, rhs parity at bit n) handles the common case:
-it reduces each row by its lowest set bit and stops at full rank, n - 1
-pivots, because full rank mod 2 implies full rational rank; the unique 0/1
-candidate is then replayed against every raw integer equation, the rows
-after the stop included. Systems that are rank-deficient or inconsistent
-mod 2 fall back to exact rational elimination to decide the true rank.
-Floats never touch a rank decision.
+per-agent systems are solved in exact arithmetic. Each record is converted
+once, member by member, to those integer counts: exact Fractions and ints
+through ``as_integer_ratio``, floats by rounding within 1e-6, and a value off
+the 1/size grid, outside [0, 1] or not finite is refused naming its agent.
+A GF(2) elimination on the raw n-bit masks (bit i clear, rhs parity at bit
+n) handles the common case: it reduces each row by its lowest set bit and
+stops at full rank, n - 1 pivots, because full rank mod 2 implies full
+rational rank; the unique 0/1 candidate is then replayed against every raw
+integer equation, the rows after the stop included. Systems that are
+rank-deficient or inconsistent mod 2 fall back to exact rational
+elimination to decide the true rank. Floats never touch a rank decision.
 
 Anonymous games are learned by direct tabulation: one observed (agent, size)
 pair fixes that table entry forever, and a second observation disagreeing
@@ -91,26 +94,47 @@ def fhg_sample_size(n: int, delta: float) -> int:
     return math.ceil(16 * math.log(n / delta)) + 4 * n
 
 
-def _rhs_as_int(agent: int, value, size: int) -> int:
-    """Neighbor count encoded by a sampled average; exact for rationals and
-    recoverable from float64 because the denominator is the coalition size."""
-    if isinstance(value, (Fraction, int)):
-        k, rem = divmod(value.numerator * size, value.denominator)
-        exact = not rem
-    else:
-        k = round(value * size)
-        exact = abs(value * size - k) <= 1e-6
-    if not exact:
-        raise InconsistentSampleError(
-            f"agent {agent}: value {value} of a size-{size} coalition "
-            f"is not a multiple of 1/{size}",
-            agent,
-        )
-    if not 0 <= k <= size:
-        raise InconsistentSampleError(
-            f"agent {agent}: value {value} outside [0, 1] for size {size}", agent
-        )
-    return k
+def _neighbor_counts(rec: SampleRecord) -> Iterator[tuple[int, int]]:
+    """(member, neighbor count) for each member of one record.
+
+    The count is the member's value times the coalition size: exact for
+    rationals and recoverable from float64 because the denominator is the
+    size. An exact Fraction or int is read through ``as_integer_ratio``;
+    subclasses (bool among them) through ``numerator``/``denominator``;
+    any other value is rounded within 1e-6, and refused when its scaled
+    value is not finite.
+    """
+    size = rec.coalition.size
+    for agent, value in rec.member_values.items():
+        kind = type(value)
+        if kind is Fraction or kind is int:
+            num, den = value.as_integer_ratio()
+            k, rem = divmod(num * size, den)
+            exact = not rem
+        elif isinstance(value, (Fraction, int)):
+            k, rem = divmod(value.numerator * size, value.denominator)
+            exact = not rem
+        else:
+            scaled = value * size
+            if not math.isfinite(scaled):
+                raise InconsistentSampleError(
+                    f"agent {agent}: value {value} of a size-{size} coalition "
+                    "gives no finite neighbor count",
+                    agent,
+                )
+            k = round(scaled)
+            exact = abs(scaled - k) <= 1e-6
+        if not exact:
+            raise InconsistentSampleError(
+                f"agent {agent}: value {value} of a size-{size} coalition "
+                f"is not a multiple of 1/{size}",
+                agent,
+            )
+        if not 0 <= k <= size:
+            raise InconsistentSampleError(
+                f"agent {agent}: value {value} outside [0, 1] for size {size}", agent
+            )
+        yield agent, k
 
 
 def _solve_gf2(rows: list[tuple[int, int]], n: int) -> int | None:
@@ -125,19 +149,24 @@ def _solve_gf2(rows: list[tuple[int, int]], n: int) -> int | None:
     """
     rhs_bit = 1 << n
     pivots: dict[int, int] = {}
+    pivot_of = pivots.get
+    needed = n - 1
     for mask, rhs in rows:
-        if len(pivots) == n - 1:
+        if not needed:
             break
         row = mask | (rhs & 1) << n
         low = row & -row
-        while low in pivots:
-            row ^= pivots[low]
+        pivot = pivot_of(low)
+        while pivot is not None:
+            row ^= pivot
             low = row & -row
+            pivot = pivot_of(low)
         if low == rhs_bit:
             return None
         if low:
             pivots[low] = row
-    if len(pivots) < n - 1:
+            needed -= 1
+    if needed:
         return None
     # Every coefficient bit is a pivot column, so going down from the highest
     # pivot each one is its rhs plus the higher columns already solved.
@@ -196,11 +225,10 @@ def learn_fhg(n: int, samples: Iterable[SampleRecord]) -> SimpleFHG:
     rows_by_agent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for rec in samples:
         smask = rec.coalition.mask
-        size = rec.coalition.size
         if smask >> n:
             raise ValueError(f"sample references agents outside [0, {n})")
-        for i, v in rec.member_values.items():
-            rows_by_agent[i].append((smask ^ 1 << i, _rhs_as_int(i, v, size)))
+        for i, k in _neighbor_counts(rec):
+            rows_by_agent[i].append((smask ^ 1 << i, k))
     adj_masks = [0] * n
     underdetermined = []
     for i, rows in enumerate(rows_by_agent):

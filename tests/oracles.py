@@ -482,3 +482,62 @@ def reference_fhg_draws(adj_rows, dist, m, rng):
         mask = dist.sample(rng).mask
         draws.append((mask, {i: naive_fhg_value(adj_rows, i, mask) for i in members_of(mask)}))
     return draws
+
+
+# --- Per-equation learning helpers ---
+#
+# ``learn_fhg``'s value-to-count conversion and GF(2) elimination as they
+# stood when each equation was converted on its own, kept verbatim to
+# cross-check the per-record conversion and the elimination that replaced
+# them.
+
+
+def reference_rhs_as_int(agent, value, size):
+    """Neighbor count encoded by a sampled average; exact for rationals and
+    recoverable from float64 because the denominator is the coalition size."""
+    from epsfc.errors import InconsistentSampleError
+
+    if isinstance(value, (Fraction, int)):
+        k, rem = divmod(value.numerator * size, value.denominator)
+        exact = not rem
+    else:
+        k = round(value * size)
+        exact = abs(value * size - k) <= 1e-6
+    if not exact:
+        raise InconsistentSampleError(
+            f"agent {agent}: value {value} of a size-{size} coalition "
+            f"is not a multiple of 1/{size}",
+            agent,
+        )
+    if not 0 <= k <= size:
+        raise InconsistentSampleError(
+            f"agent {agent}: value {value} outside [0, 1] for size {size}", agent
+        )
+    return k
+
+
+def reference_solve_gf2(rows, n):
+    """Solve one agent's (mask, rhs) equations mod 2 over its n - 1 columns,
+    stopping at n - 1 pivots; None when the rows run out first or are
+    inconsistent mod 2."""
+    rhs_bit = 1 << n
+    pivots = {}
+    for mask, rhs in rows:
+        if len(pivots) == n - 1:
+            break
+        row = mask | (rhs & 1) << n
+        low = row & -row
+        while low in pivots:
+            row ^= pivots[low]
+            low = row & -row
+        if low == rhs_bit:
+            return None
+        if low:
+            pivots[low] = row
+    if len(pivots) < n - 1:
+        return None
+    solution = 0
+    for low in sorted(pivots, reverse=True):
+        if (pivots[low] & (solution | rhs_bit)).bit_count() & 1:
+            solution |= low
+    return solution

@@ -142,6 +142,25 @@ class TestStabilize:
         assert code == 2
         assert f"{samples}:2: agent id 5 is not an integer in [1, 4]" in capsys.readouterr().err
 
+    def _fhg_samples_with(self, tmp_path, value):
+        samples = tmp_path / "s.jsonl"
+        samples.write_text('{"S":[1,2],"v":[%s,0.5]}\n' % value)
+        return samples
+
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity"])
+    def test_infinite_sample_value_is_a_learning_error(self, tmp_path, capsys, value):
+        samples = self._fhg_samples_with(tmp_path, value)
+        code = run("stabilize", "--class", "fhg", "--n", 4, "--samples", samples, "--out", tmp_path / "p.json")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("learning: agent ") and "no finite neighbor count" in err
+
+    def test_nan_sample_value_is_a_usage_error_naming_the_line(self, tmp_path, capsys):
+        samples = self._fhg_samples_with(tmp_path, "NaN")
+        code = run("stabilize", "--class", "fhg", "--n", 4, "--samples", samples, "--out", tmp_path / "p.json")
+        assert code == 2
+        assert f"usage: {samples}:1: not every value in ['NaN', 0.5] is a number" in capsys.readouterr().err
+
     def test_game_and_samples_mutually_exclusive(self, tmp_path):
         assert run("stabilize", "--class", "fhg", "--out", tmp_path / "p.json") == 2
 

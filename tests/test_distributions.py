@@ -18,7 +18,7 @@ from epsfc import (
     mean_size_bounds,
     size_interval,
 )
-from epsfc.distributions import _uniform_subset_mask
+from epsfc.distributions import _draw_plan, _uniform_subset_mask
 from oracles import (
     brute_point_masses,
     reference_size_tilted_sampler,
@@ -193,10 +193,11 @@ class TestStreamIdentity:
     """The samplers draw through getrandbits the bits the randrange samplers drew."""
 
     NS = range(1, 70)
+    WIDE = (100, 128, 200)
     SEEDS = range(5)
 
     def test_subset_mask(self):
-        for n in self.NS:
+        for n in (*self.NS, *self.WIDE):
             for s in sorted({0, 1, n // 3, n // 2, n - 1, n}):
                 for seed in self.SEEDS:
                     assert same_stream(
@@ -204,6 +205,20 @@ class TestStreamIdentity:
                         lambda rng: reference_subset_mask(rng, n, s),
                         seed, 5,
                     ), (n, s, seed)
+
+    def test_subset_mask_after_plan_eviction(self):
+        # More distinct n than the plan cache holds, then the first n again:
+        # their plans were evicted and are rebuilt.
+        cap = _draw_plan.cache_info().maxsize
+        ns = range(1, cap + 16)
+        for n in (*ns, *ns[:16]):
+            for s in (n // 2, n):
+                assert same_stream(
+                    lambda rng: _uniform_subset_mask(rng, n, s),
+                    lambda rng: reference_subset_mask(rng, n, s),
+                    n, 3,
+                ), (n, s)
+        assert _draw_plan.cache_info().currsize <= cap
 
     def test_uniform(self):
         for n in self.NS:

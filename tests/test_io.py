@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 import tracemalloc
@@ -274,6 +275,7 @@ class TestMalformedSampleLines:
             ('{"S":[1],"v":[true]}', "not every value in [True] is a number"),
             ('{"S":[1,2],"v":[0.5,"1/0"]}', "not every value in [0.5, '1/0'] is a number"),
             ('{"S":[1],"v":["abc"]}', "not every value in ['abc'] is a number"),
+            ('{"S":[1,2],"v":[NaN,0.5]}', "not every value in ['NaN', 0.5] is a number"),
         ],
     )
     def test_names_file_and_line(self, tmp_path, line, words):
@@ -282,6 +284,12 @@ class TestMalformedSampleLines:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: ") as info:
             eio.read_samples(path)
         assert words in str(info.value)
+
+    def test_infinities_read_as_floats(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"S":[1,2],"v":[Infinity,-Infinity]}\n')
+        (rec,) = eio.read_samples(path)
+        assert rec.member_values == {0: math.inf, 1: -math.inf}
 
     @pytest.mark.parametrize("agent", [4, 10**7])
     def test_agent_past_n_rejected_before_it_is_shifted(self, tmp_path, agent):

@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsfc import (
@@ -29,8 +29,14 @@ from epsfc import (
     mean_confidence_m,
 )
 from epsfc.instances import random_anon, random_fhg
-from epsfc.learning import _solve_gf2
-from oracles import fhg_row_solutions, members_of, reference_fhg_draws
+from epsfc.learning import _neighbor_counts, _solve_gf2
+from oracles import (
+    fhg_row_solutions,
+    members_of,
+    reference_fhg_draws,
+    reference_rhs_as_int,
+    reference_solve_gf2,
+)
 
 
 class TestSampleRecord:
@@ -198,6 +204,17 @@ class TestLearnFhg:
         records = [rec, SampleRecord(Coalition.of(0), {0: Fraction(0)})]
         with pytest.raises(InconsistentSampleError):
             learn_fhg(2, records)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e308])
+    def test_non_finite_float_names_the_agent(self, bad):
+        # 1e308 is finite, but times the size 2 it is not
+        records = [
+            SampleRecord(Coalition.of(0), {0: 0.0}),
+            SampleRecord(Coalition.of(0, 1), {0: 0.5, 1: bad}),
+        ]
+        with pytest.raises(InconsistentSampleError, match="agent 1: .* no finite neighbor count") as exc:
+            learn_fhg(2, records)
+        assert exc.value.agent == 1
 
     def test_float_values_recovered_exactly(self):
         g = random_fhg(9, 0.5, 21)
@@ -461,6 +478,99 @@ class TestLearnAnonymous:
             SampleRecord(Coalition.of(0, 1, 2), {0: 0.2, 1: 0.2, 2: 0.2}),
         ]
         assert learn_anonymous(3, recs).mu_hat == 2.0
+
+
+class _Ratio(Fraction):
+    """A Fraction subclass: read through numerator and denominator."""
+
+
+def sampled_values(size):
+    """Values for a size-``size`` coalition: on and off the 1/size grid,
+    inside and outside [0, 1], as Fraction, int, bool, float or _Ratio."""
+    on_grid = st.integers(-2, size + 2)
+    return st.one_of(
+        on_grid.map(lambda k: Fraction(k, size)),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3 * size),
+        on_grid.map(lambda k: _Ratio(k, size)),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3 * size).map(_Ratio),
+        st.integers(-2, 3),
+        st.booleans(),
+        on_grid.map(lambda k: k / size),
+        st.tuples(on_grid, st.floats(-1e-5, 1e-5)).map(lambda t: t[0] / size + t[1]),
+        st.floats(),
+    )
+
+
+@st.composite
+def valued_records(draw):
+    n = draw(st.integers(1, 8))
+    mask = draw(st.integers(1, (1 << n) - 1))
+    size = mask.bit_count()
+    return SampleRecord(Coalition(mask), {i: draw(sampled_values(size)) for i in members_of(mask)})
+
+
+def outcome(compute):
+    """The value ``compute()`` returns, or the exception it raises as
+    (type, agent, message)."""
+    try:
+        return compute()
+    except Exception as exc:  # every outcome is compared, failures included
+        return type(exc), getattr(exc, "agent", None), str(exc)
+
+
+@st.composite
+def gf2_systems(draw):
+    """(rows, n) for one agent: rhs from a planted row (consistent, full rank
+    when the rows span) or drawn freely (often inconsistent mod 2)."""
+    n = draw(st.integers(1, 8))
+    i = draw(st.integers(0, n - 1))
+    others = ((1 << n) - 1) ^ 1 << i
+    planted = draw(st.integers(0, others)) & others
+    masks = draw(st.lists(st.integers(0, others).map(lambda b: b & others), max_size=3 * n))
+    if draw(st.booleans()):
+        rows = [(b, (b & planted).bit_count()) for b in masks]
+    else:
+        rows = [(b, draw(st.integers(0, n))) for b in masks]
+    return rows, n
+
+
+class TestPerRecordConversion:
+    """The per-record counts and the GF(2) elimination against the
+    per-equation code they replaced (``oracles``)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(valued_records())
+    def test_counts_match_per_equation_reference(self, rec):
+        size = rec.coalition.size
+        ours = outcome(lambda: list(_neighbor_counts(rec)))
+        theirs = outcome(
+            lambda: [
+                (i, reference_rhs_as_int(i, v, size))
+                for i, v in rec.member_values.items()
+            ]
+        )
+        # The one intended difference: a float whose scaled value is not
+        # finite is refused naming its agent; the reference let round() raise.
+        if theirs[0] in (OverflowError, ValueError):
+            agent = ours[1]
+            value = rec.member_values[agent]
+            assert ours[0] is InconsistentSampleError
+            assert type(value) is float and not math.isfinite(value * size)
+            assert f"agent {agent}: value {value} " in ours[2]
+        else:
+            assert ours == theirs
+
+    @settings(max_examples=400, deadline=None)
+    @given(gf2_systems())
+    @example(([], 1))
+    @example(([(0, 1)], 1))
+    @example(([], 2))
+    @example(([(0b10, 1)], 2))
+    @example(([(0b10, 1), (0b10, 0)], 2))
+    @example(([(0b00, 1), (0b10, 1)], 2))
+    def test_gf2_matches_reference(self, system):
+        rows, n = system
+        assert _solve_gf2(rows, n) == reference_solve_gf2(rows, n)
 
 
 class TestSolverAgreement:
