@@ -33,8 +33,10 @@ from .errors import (
     EmptyIntervalError,
     EpsfcError,
     GuardError,
+    InconsistentSampleError,
     LearningError,
     PartitionError,
+    UnderdeterminedError,
 )
 from .games import AnonymousHG, SimpleFHG, check_ordering, check_single_peaked
 from .instances import (
@@ -169,7 +171,16 @@ def cmd_stabilize(args) -> int:
         raise UsageError("--n is required with --samples")
     else:
         learn = learn_fhg if klass == "fhg" else learn_anonymous
-        view = learn(args.n, eio.stream_samples(args.samples, n=args.n))
+        # The library numbers agents from 0; the sample file numbers them from 1.
+        try:
+            view = learn(args.n, eio.stream_samples(args.samples, n=args.n))
+        except InconsistentSampleError as exc:
+            if exc.agent is None:
+                raise
+            raise LearningError(re.sub(r"^agent \d+", f"agent {exc.agent + 1}", str(exc),
+                                       count=1)) from None
+        except UnderdeterminedError as exc:
+            raise LearningError(f"underdetermined agents: {[i + 1 for i in exc.agents]}") from None
     dist = _load_dist(args.dist, view.n) if loaded is not None and klass != "fhg" else None
     ordering = loaded.sp_ordering if loaded is not None else None
     if klass == "anon-sp" and args.ordering:

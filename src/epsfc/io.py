@@ -263,6 +263,12 @@ def write_samples(path, records) -> int:
     return count
 
 
+def _sample_constant(name: str) -> float:
+    if name == "NaN":
+        raise ValueError("NaN is not a sample value")
+    return float(name)
+
+
 def stream_samples(path, *, n: int | None = None) -> Iterator[SampleRecord]:
     """Yield the records of a sample file one line at a time.
 
@@ -271,18 +277,14 @@ def stream_samples(path, *, n: int | None = None) -> Iterator[SampleRecord]:
     that is not a JSON object with "S" and "v", an "S" that is not a list or
     is empty or repeats an agent, an agent id below 1 (or above ``n``, when
     given: the id is checked before it is shifted into a mask), a "v" that
-    is not a list as long as "S", or a value that is not a number or a
-    "p/q" string (null, true, a list, "1/0", NaN).
+    is not a list as long as "S", a NaN, or a value that is not a number or
+    a "p/q" string (null, true, a list, "1/0"). Infinity and -Infinity read
+    as floats.
     """
     top = math.inf if n is None else n
     span = ">= 1" if n is None else f"in [1, {n}]"
     floats = _Memo(float)
-    # JSON's NaN reads as its own text, which no value parse accepts, so it is
-    # refused with the line; -Infinity and Infinity read as floats.
-    decode = json.JSONDecoder(
-        parse_float=floats.__getitem__,
-        parse_constant=lambda c: c if c == "NaN" else float(c),
-    ).decode
+    decode = json.JSONDecoder(parse_float=floats.__getitem__, parse_constant=_sample_constant).decode
     fractions = _Memo(Fraction)
     parse = {str: fractions.__getitem__, int: float}  # by JSON type; no null, true, list
     with open(path) as fh:

@@ -153,13 +153,26 @@ class TestStabilize:
         code = run("stabilize", "--class", "fhg", "--n", 4, "--samples", samples, "--out", tmp_path / "p.json")
         assert code == 4
         err = capsys.readouterr().err
-        assert err.startswith("learning: agent ") and "no finite neighbor count" in err
+        # the sample file numbers this agent 1; the library's message says agent 0
+        assert err.startswith(f"learning: agent 1: value {float(value)} of a size-2 coalition")
+        assert err.rstrip().endswith("gives no finite neighbor count")
+
+    def test_learning_errors_number_agents_as_the_sample_file(self, tmp_path, capsys):
+        samples = tmp_path / "s.jsonl"
+        samples.write_text('{"S":[1,2],"v":["1/2","1/2"]}\n{"S":[1,3],"v":["1/2","0"]}\n')
+        code = run("stabilize", "--class", "fhg", "--n", 3, "--samples", samples, "--out", tmp_path / "p.json")
+        assert code == 4
+        assert capsys.readouterr().err == "learning: underdetermined agents: [2, 3]\n"
+        samples.write_text('{"S":[1,2],"v":[0.5,0.5]}\n{"S":[1,3],"v":[0.25,0.5]}\n')
+        code = run("stabilize", "--class", "anon", "--n", 3, "--samples", samples, "--out", tmp_path / "p.json")
+        assert code == 4
+        assert capsys.readouterr().err == "learning: agent 1 reported 0.5 and 0.25 for size 2\n"
 
     def test_nan_sample_value_is_a_usage_error_naming_the_line(self, tmp_path, capsys):
         samples = self._fhg_samples_with(tmp_path, "NaN")
         code = run("stabilize", "--class", "fhg", "--n", 4, "--samples", samples, "--out", tmp_path / "p.json")
         assert code == 2
-        assert f"usage: {samples}:1: not every value in ['NaN', 0.5] is a number" in capsys.readouterr().err
+        assert f"usage: {samples}:1: not a sample record: ValueError('NaN is not a sample value')" in capsys.readouterr().err
 
     def test_game_and_samples_mutually_exclusive(self, tmp_path):
         assert run("stabilize", "--class", "fhg", "--out", tmp_path / "p.json") == 2

@@ -275,7 +275,7 @@ class TestMalformedSampleLines:
             ('{"S":[1],"v":[true]}', "not every value in [True] is a number"),
             ('{"S":[1,2],"v":[0.5,"1/0"]}', "not every value in [0.5, '1/0'] is a number"),
             ('{"S":[1],"v":["abc"]}', "not every value in ['abc'] is a number"),
-            ('{"S":[1,2],"v":[NaN,0.5]}', "not every value in ['NaN', 0.5] is a number"),
+            ('{"S":[1,2],"v":[NaN,0.5]}', "not a sample record: ValueError('NaN is not a sample value')"),
         ],
     )
     def test_names_file_and_line(self, tmp_path, line, words):

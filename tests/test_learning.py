@@ -481,7 +481,7 @@ class TestLearnAnonymous:
 
 
 class _Ratio(Fraction):
-    """A Fraction subclass: read through numerator and denominator."""
+    """A Fraction subclass, read like a Fraction."""
 
 
 def sampled_values(size):
