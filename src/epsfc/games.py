@@ -2,7 +2,9 @@
 
 Agents are the integers in [0, n). Coalitions are bit-indexed agent sets, so
 set algebra on them compiles down to integer bit operations, and a coalition
-over any n is a single Python integer.
+over any n is a single Python integer. ``bits_of`` lists a mask's members as
+an ascending tuple, looked up a byte at a time in cached per-offset tables;
+it is the one member enumeration the package uses.
 
 Two valuation models are provided. In a simple fractional game each agent
 values a coalition by the fraction of its members she points to in an
@@ -24,12 +26,34 @@ from typing import Iterable, Iterator, Sequence
 from .errors import PartitionError
 
 
-def bits_of(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
+@lru_cache(maxsize=64)
+def _byte_members(offset: int) -> tuple[tuple[int, ...], ...]:
+    """For each byte value b, the ascending set bit positions of ``b << offset``.
+
+    The cache keeps the rows of the 64 most recently used offsets, so masks
+    of any width cannot grow it without limit.
+    """
+    return tuple(tuple(offset + j for j in range(8) if b >> j & 1) for b in range(256))
+
+
+_LOW_BYTE = _byte_members(0)
+
+
+def bits_of(mask: int) -> tuple[int, ...]:
+    """The set bit positions of a non-negative ``mask``, ascending, as a tuple.
+
+    Each non-zero byte of the mask contributes its row entry from
+    ``_byte_members``; zero bytes are skipped.
+    """
+    members = _LOW_BYTE[mask & 255]
+    mask >>= 8
+    offset = 8
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        if mask & 255:
+            members += _byte_members(offset)[mask & 255]
+        mask >>= 8
+        offset += 8
+    return members
 
 
 def mask_of(members: Iterable[int]) -> int:
@@ -61,10 +85,10 @@ class Coalition:
         return cls(mask_of(members))
 
     def members(self) -> tuple[int, ...]:
-        return tuple(bits_of(self.mask))
+        return bits_of(self.mask)
 
     def __iter__(self) -> Iterator[int]:
-        return bits_of(self.mask)
+        return iter(bits_of(self.mask))
 
     def __len__(self) -> int:
         return self.size
@@ -215,10 +239,11 @@ class AnonymousHG:
 
     ``table[i][s-1]`` holds agent i's value for coalitions of size s. Values
     are stored as given and compared exactly; no arithmetic is ever done on
-    them.
+    them. They are kept by size, one column per size, so a coalition's
+    values all come from the one column of its size.
     """
 
-    __slots__ = ("n", "_rows")
+    __slots__ = ("n", "_cols")
 
     def __init__(self, table: Sequence[Sequence[float]]):
         rows = tuple(tuple(float(v) for v in row) for row in table)
@@ -227,26 +252,26 @@ class AnonymousHG:
             if len(row) != n:
                 raise ValueError(f"a row has {len(row)} size values, expected {n}")
         self.n = n
-        self._rows = rows
+        self._cols = tuple(zip(*rows))
 
     def table(self) -> list[list[float]]:
-        return [list(row) for row in self._rows]
+        return [list(row) for row in zip(*self._cols)]
 
     def value_of_size(self, i: int, s: int) -> float:
         if not 1 <= s <= self.n:
             raise ValueError(f"coalition size {s} outside [1, {self.n}]")
-        return self._rows[i][s - 1]
+        return self._cols[s - 1][i]
 
     def member_values(self, coalition: Coalition) -> dict[int, float]:
         """Every member's value of ``coalition``, in ascending member order."""
-        s, rows = coalition.size - 1, self._rows
-        return {i: rows[i][s] for i in bits_of(coalition.mask)}
+        col = self._cols[coalition.size - 1]
+        return {i: col[i] for i in bits_of(coalition.mask)}
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, AnonymousHG) and self._rows == other._rows
+        return isinstance(other, AnonymousHG) and self._cols == other._cols
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash(self._cols)
 
     def __repr__(self) -> str:
         return f"AnonymousHG(n={self.n})"

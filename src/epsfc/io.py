@@ -9,10 +9,15 @@ Sample files are JSON-lines, one record per line:
 ``{"S":[1,3,5],"v":["1/3","2/3",0.5]}`` lists the coalition's agents in
 ascending order and then each member's value in that order. Exact rationals
 are "p/q" strings and read back as the same Fractions; floats are JSON
-numbers and read back bit for bit. Samples stream both ways: the writer
+numbers and read back bit for bit; the writer refuses NaN, which the reader
+refuses too, and writes Infinity. Samples stream both ways: the writer
 consumes any iterable and the reader yields one record per line. Both build
-a repeated value (a float's text, a parsed float or Fraction) once per call,
-in a memo of bounded size.
+a repeated value (a float's or an agent id's text, a parsed float or
+Fraction) once per call, in a memo of bounded size. The reader scans each
+line with the JSON decoder's scanner directly and falls back to the full
+decode for any line that is not one value followed by its newline, so both
+routes accept the same lines with the same values and refuse the rest with
+the same messages.
 """
 
 from __future__ import annotations
@@ -230,10 +235,14 @@ class _Memo(dict):
 
     def __missing__(self, key):
         value = self.make(key)
-        # A zero is never kept: 0.0 == -0.0, but they print differently.
-        if key and len(self) < MEMO_CAP:
+        # A float zero is never kept: 0.0 == -0.0, but they print differently.
+        if (key or type(key) is not float) and len(self) < MEMO_CAP:
             self[key] = value
         return value
+
+
+def _is_nan(v) -> bool:
+    return isinstance(v, float) and v != v
 
 
 def write_samples(path, records) -> int:
@@ -243,23 +252,41 @@ def write_samples(path, records) -> int:
     then each member's value in the same order. A float is written as
     ``json.dumps`` writes it, its text built once per distinct value; a
     Fraction is a "p/q" string; any other value is written as ``json.dumps``
-    writes it with ``default=str``.
+    writes it with ``default=str``. An agent's text is built once per call.
+    A NaN value is refused with a ValueError naming its record (counted
+    from 1) and its 1-based agent, since no reader takes NaN back; the
+    records before it are already written.
     """
     encode = json.JSONEncoder(default=str).encode
-    floats = _Memo(encode)
+
+    def number(v) -> str:
+        if _is_nan(v):
+            raise ValueError("NaN is not a sample value")
+        return encode(v)
+
+    floats = _Memo(number)
+    ids = _Memo(lambda i: str(i + 1))
     count = 0
     with open(path, "w") as fh:
-        for rec in records:
+        for count, rec in enumerate(records, 1):
             members = rec.coalition.members()
-            texts = [
-                floats[v] if type(v) is float else f'"{v}"' if type(v) is Fraction else encode(v)
-                for v in map(rec.member_values.__getitem__, members)
-            ]
+            values = rec.member_values
+            try:
+                texts = [
+                    floats[v] if type(v) is float else f'"{v}"' if type(v) is Fraction else number(v)
+                    for v in map(values.__getitem__, members)
+                ]
+            except ValueError:
+                nan = [i + 1 for i in members if _is_nan(values[i])]
+                if not nan:
+                    raise
+                raise ValueError(
+                    f"record {count}: agent {nan[0]}'s value is NaN, which a sample file cannot hold"
+                ) from None
             fh.write(
                 '{"S":[%s],"v":[%s]}\n'
-                % (",".join([str(i + 1) for i in members]), ",".join(texts))
+                % (",".join(map(ids.__getitem__, members)), ",".join(texts))
             )
-            count += 1
     return count
 
 
@@ -284,7 +311,8 @@ def stream_samples(path, *, n: int | None = None) -> Iterator[SampleRecord]:
     top = math.inf if n is None else n
     span = ">= 1" if n is None else f"in [1, {n}]"
     floats = _Memo(float)
-    decode = json.JSONDecoder(parse_float=floats.__getitem__, parse_constant=_sample_constant).decode
+    decoder = json.JSONDecoder(parse_float=floats.__getitem__, parse_constant=_sample_constant)
+    scan, decode = decoder.scan_once, decoder.decode
     fractions = _Memo(Fraction)
     parse = {str: fractions.__getitem__, int: float}  # by JSON type; no null, true, list
     with open(path) as fh:
@@ -292,7 +320,17 @@ def stream_samples(path, *, n: int | None = None) -> Iterator[SampleRecord]:
             if line.isspace():
                 continue
             try:
-                d = decode(line)
+                # The scan alone decides a line that is one JSON value and its
+                # newline, and raises what the full decode would on a line that
+                # starts a malformed value; any other line gets the full
+                # decode, which accepts or refuses it with its own message.
+                try:
+                    d, end = scan(line, 0)
+                except StopIteration:
+                    d = decode(line)
+                else:
+                    if line[end:] not in ("\n", ""):
+                        d = decode(line)
                 ids, raw = d["S"], d["v"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: not a sample record: {exc!r}") from None

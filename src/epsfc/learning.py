@@ -306,12 +306,19 @@ class LearnedAnonymous:
 
 
 def learn_anonymous(n: int, samples: Iterable[SampleRecord]) -> LearnedAnonymous:
-    """Tabulate exact per-size values from samples and the mean sampled size."""
+    """Tabulate exact per-size values from samples and the mean sampled size.
+
+    A sample whose coalition is empty or reaches past agent n - 1 is a
+    ValueError: neither is a coalition of the n agents.
+    """
     learned = LearnedAnonymous(n)
+    top = 1 << n
     for rec in samples:
         s = rec.coalition.size
-        if rec.coalition.mask >> n:
-            raise ValueError(f"sample references agents outside [0, {n})")
+        if not 0 < rec.coalition.mask < top:
+            raise ValueError(
+                f"sample references agents outside [0, {n})" if s else "sample has an empty coalition"
+            )
         learned.m += 1
         learned._size_sum += s
         for i, v in rec.member_values.items():

@@ -122,7 +122,7 @@ def _matching_branch(game, degrees, th):
         i = pool[0]
         d = degrees[i]
         target = 0 if d == 0 else -((-2 * d) // (n - d))  # ceil(2d / (n - d))
-        neighbors = list(bits_of(game.adj_masks[i]))
+        neighbors = bits_of(game.adj_masks[i])
         preferred = [j for j in neighbors if block[j] == 1 << j and j not in pool]
         rest = [j for j in neighbors if j not in preferred]
         partners = tuple((preferred + rest)[:target])
@@ -150,7 +150,7 @@ def _clique_branch(game, degrees, th):
             break
         i = max(bits_of(candidates), key=lambda a: (degrees[a], -a))
         keep = game.adj_masks[i] | 1 << i
-        removed = tuple(bits_of(club & ~keep))
+        removed = bits_of(club & ~keep)
         club &= keep
         taken |= 1 << i
         iterations.append(FhgIteration(agent=i, removed=removed))

@@ -249,7 +249,7 @@ def _first_meeting(pool: int, hit: int, s: int, limit: int) -> list[int]:
         return []
     limit = min(limit, math.comb(pool.bit_count(), s) - math.comb((pool & ~hit).bit_count(), s))
     # with hit's members listed first, every subset meeting hit precedes any avoiding it
-    order = [*bits_of(pool & hit), *bits_of(pool & ~hit)]
+    order = bits_of(pool & hit) + bits_of(pool & ~hit)
     return [mask_of(c) for c in islice(combinations(order, s), limit)]
 
 

@@ -541,3 +541,44 @@ def reference_solve_gf2(rows, n):
         if (pivots[low] & (solution | rhs_bit)).bit_count() & 1:
             solution |= low
     return solution
+
+
+# --- Member enumeration and the sample writer as they stood before tables ---
+#
+# The bit-at-a-time member generator and the sample writer's per-record loop
+# that the byte tables and the per-call id memo replaced, kept to cross-check
+# them.
+
+
+def reference_bits_of(mask):
+    """Yield the set bit positions of ``mask`` in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reference_write_samples(path, records):
+    """Write records as ``{"S":[agents],"v":[values]}`` lines; returns the count.
+
+    Agents are 1-based and ascending; a float is written as ``json.dumps``
+    writes it, a Fraction as a "p/q" string, anything else as ``json.dumps``
+    with ``default=str`` writes it.
+    """
+    import json
+
+    encode = json.JSONEncoder(default=str).encode
+    count = 0
+    with open(path, "w") as fh:
+        for rec in records:
+            members = list(reference_bits_of(rec.coalition.mask))
+            texts = [
+                f'"{v}"' if type(v) is Fraction else encode(v)
+                for v in map(rec.member_values.__getitem__, members)
+            ]
+            fh.write(
+                '{"S":[%s],"v":[%s]}\n'
+                % (",".join([str(i + 1) for i in members]), ",".join(texts))
+            )
+            count += 1
+    return count

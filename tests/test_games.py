@@ -17,13 +17,14 @@ from epsfc import (
     exact_blocking,
     is_individually_rational,
 )
-from epsfc.games import _shares
+from epsfc.games import _byte_members, _shares, bits_of
 from epsfc.instances import random_anon, random_fhg, random_partition
 from epsfc.verification import blocker_predicate
 from oracles import (
     ReferenceCertificate,
     naive_anon_blocks,
     naive_fhg_blocks,
+    reference_bits_of,
     reference_check_single_peaked,
     reference_validate_partition,
 )
@@ -50,6 +51,36 @@ class TestCoalition:
             Coalition(-1)
 
 
+class TestBitsOf:
+    def test_every_mask_below_2_12(self):
+        for mask in range(1 << 12):
+            members = bits_of(mask)
+            assert type(members) is tuple
+            assert members == tuple(reference_bits_of(mask))
+        assert bits_of(0) == ()
+
+    def test_random_masks_up_to_300_bits(self):
+        rng = random.Random(11)
+        for width in range(1, 301):
+            for _ in range(5):
+                mask = rng.getrandbits(width)
+                assert bits_of(mask) == tuple(reference_bits_of(mask))
+
+    @pytest.mark.parametrize("bit", [8 * 64, 8 * 64 + 7, 8 * 200 + 3, 5000, 20_001])
+    def test_lone_high_bits_past_the_row_cache(self, bit):
+        assert bits_of(1 << bit) == (bit,)
+        assert bits_of(1 << bit | 0b1010_0000_0001) == (0, 9, 11, bit)
+
+    def test_row_cache_stays_bounded_over_many_widths(self):
+        maxsize = _byte_members.cache_info().maxsize
+        for width in range(1, 8 * (maxsize + 40), 5):
+            mask = (1 << width) - 1
+            assert bits_of(mask) == tuple(range(width))
+        assert _byte_members.cache_info().currsize == maxsize
+        # the evicted low rows are rebuilt the same
+        assert bits_of(0b1011 << 8) == (8, 9, 11)
+
+
 class TestValue:
     def test_mutual_pair_half(self):
         g = mutual_pair()
@@ -64,6 +95,17 @@ class TestValue:
         g = AnonymousHG([[0.1, 0.7, 0.3]] * 3)
         assert g.member_values(Coalition.of(1, 2))[2] == 0.7
         assert g.member_values(Coalition.of(1, 2)) == {1: 0.7, 2: 0.7}
+
+    def test_anonymous_values_come_from_the_table(self):
+        g = random_anon(7, 3)
+        table = g.table()
+        assert AnonymousHG(table) == g and hash(AnonymousHG(table)) == hash(g)
+        for mask in range(1, 1 << 7):
+            s = mask.bit_count()
+            expected = {i: table[i][s - 1] for i in reference_bits_of(mask)}
+            values = g.member_values(Coalition(mask))
+            assert values == expected and list(values) == list(expected)
+            assert all(g.value_of_size(i, s) == v for i, v in values.items())
 
     def test_fhg_value_range(self):
         g = random_fhg(8, 0.5, 3)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from epsfc import (
     AdversarialBounded,
+    AnonymousHG,
     Coalition,
     FamilyUniform,
     Partition,
@@ -23,7 +24,7 @@ from epsfc import (
 )
 from epsfc import io as eio
 from epsfc.instances import random_anon, random_anon_sp, random_fhg, random_partition
-from oracles import members_of
+from oracles import members_of, reference_write_samples
 
 
 class TestGameRoundtrip:
@@ -215,6 +216,24 @@ class TestSamples:
         ]
         assert [_signature(r) for r in eio.read_samples(path)] == [_signature(r) for r in records]
 
+    def test_nan_value_is_refused_by_the_writer(self, tmp_path):
+        game = AnonymousHG([[math.nan, 0.5], [0.3, 0.7]])
+        c = Coalition(0b01)
+        path = tmp_path / "s.jsonl"
+        with pytest.raises(ValueError, match=r"^record 1: agent 1's value is NaN"):
+            eio.write_samples(path, [SampleRecord(c, game.member_values(c))])
+        good = SampleRecord(Coalition.of(0, 1), {0: 0.5, 1: 0.25})
+        bad = SampleRecord(Coalition.of(0, 2, 3), {0: 0.5, 2: Fraction(1, 3), 3: math.nan})
+        with pytest.raises(ValueError, match=r"^record 3: agent 4's value is NaN"):
+            eio.write_samples(path, [good, good, bad])
+
+    def test_infinities_are_written_and_read_back(self, tmp_path):
+        rec = SampleRecord(Coalition.of(0, 1), {0: math.inf, 1: -math.inf})
+        path = tmp_path / "s.jsonl"
+        assert eio.write_samples(path, [rec, rec]) == 2
+        assert path.read_text() == '{"S":[1,2],"v":[Infinity,-Infinity]}\n' * 2
+        assert [r.member_values for r in eio.read_samples(path)] == [rec.member_values] * 2
+
     def test_memo_stops_growing_at_its_cap(self):
         made = []
         memo = eio._Memo(lambda x: made.append(x) or str(x))
@@ -312,11 +331,12 @@ class TestMalformedSampleLines:
             learn_anonymous(2, eio.stream_samples(path))
 
 
+# Every value a sample file holds; the writer refuses NaN.
 _values = st.one_of(
     st.fractions(max_denominator=10**6),
-    st.floats(),
+    st.floats(allow_nan=False),
     st.integers(-(10**9), 10**9),
-    st.sampled_from([0.0, -0.0, 0, Fraction(0)]),
+    st.sampled_from([0.0, -0.0, 0, Fraction(0), math.inf, -math.inf]),
 )
 
 
@@ -346,6 +366,41 @@ def _read_back(v):
     return v if isinstance(v, Fraction) else float(v)
 
 
+_LEADS = st.sampled_from(["", "", " ", "\t", "x"])
+_TRAILS = st.sampled_from(["", "", " ", " \t", "x", " 1", "}", "\r"])
+_ENDS = st.sampled_from(["\n", "\n", "\r\n"])
+
+
+def _stream_outcome(path):
+    """The records ``stream_samples`` yields, and its message if it stops on a line."""
+    records = []
+    try:
+        for rec in eio.stream_samples(path):
+            records.append(_signature(rec))
+    except ValueError as exc:
+        return records, str(exc)
+    return records, None
+
+
+def _decode_outcome(path):
+    """The same, with each line decoded whole by ``JSONDecoder.decode``. Every
+    line holds a record the writer wrote, so a line decodes exactly when the
+    reader should take it."""
+    decode = json.JSONDecoder(parse_constant=eio._sample_constant).decode
+    records = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            try:
+                d = decode(line)
+            except ValueError as exc:
+                return records, f"{path}:{lineno}: not a sample record: {exc!r}"
+            values = {a - 1: Fraction(x) if type(x) is str else float(x) for a, x in zip(d["S"], d["v"])}
+            records.append(_pair_signature(sum(1 << a - 1 for a in d["S"]), values))
+    return records, None
+
+
 class TestSampleRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(_sample_sets(), st.integers(1, 4))
@@ -360,6 +415,30 @@ class TestSampleRoundTrip:
             for r in records
         ]
         assert [_signature(r) for r in back] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sample_sets(), st.sampled_from([1, 3, eio.MEMO_CAP]))
+    def test_writer_bytes_match_the_reference_writer(self, tmp_path_factory, records, cap):
+        folder = tmp_path_factory.mktemp("wb")
+        with mock.patch.object(eio, "MEMO_CAP", cap):
+            assert eio.write_samples(folder / "a.jsonl", iter(records)) == len(records)
+        assert reference_write_samples(folder / "b.jsonl", records) == len(records)
+        assert (folder / "a.jsonl").read_bytes() == (folder / "b.jsonl").read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sample_sets(), st.data())
+    def test_edge_lines_read_as_a_full_decode_reads_them(self, tmp_path_factory, records, data):
+        folder = tmp_path_factory.mktemp("edge")
+        eio.write_samples(folder / "clean.jsonl", records)
+        lines = [*(folder / "clean.jsonl").read_text().splitlines(), '{"S":[1],"v":["1/2"]}']
+        text = "".join(
+            data.draw(_LEADS) + line + data.draw(_TRAILS) + data.draw(_ENDS) for line in lines
+        )
+        if data.draw(st.booleans()):
+            text = text.rstrip("\n")  # a last line with no newline
+        path = folder / "edge.jsonl"
+        path.write_bytes(text.encode())
+        assert _stream_outcome(path) == _decode_outcome(path)
 
     def test_more_distinct_floats_than_the_cap(self, tmp_path):
         rng = random.Random(4)

@@ -479,6 +479,16 @@ class TestLearnAnonymous:
         ]
         assert learn_anonymous(3, recs).mu_hat == 2.0
 
+    def test_empty_coalition_is_refused(self):
+        recs = [SampleRecord(Coalition(0), {}), SampleRecord(Coalition(0b11), {0: 0.5, 1: 0.7})]
+        with pytest.raises(ValueError, match="empty coalition"):
+            learn_anonymous(2, recs)
+        assert learn_anonymous(2, recs[1:]).mu_hat == 2.0
+
+    def test_agent_past_n_is_refused(self):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            learn_anonymous(2, [SampleRecord(Coalition.of(2), {2: 0.5})])
+
 
 class _Ratio(Fraction):
     """A Fraction subclass, read like a Fraction."""
