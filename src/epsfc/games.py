@@ -3,8 +3,7 @@
 Agents are the integers in [0, n). Coalitions are bit-indexed agent sets, so
 set algebra on them compiles down to integer bit operations, and a coalition
 over any n is a single Python integer. ``bits_of`` lists a mask's members as
-an ascending tuple, looked up a byte at a time in cached per-offset tables;
-it is the one member enumeration the package uses.
+an ascending tuple, looked up a byte at a time in cached per-offset tables.
 
 Two valuation models are provided. In a simple fractional game each agent
 values a coalition by the fraction of its members she points to in an
