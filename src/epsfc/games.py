@@ -213,11 +213,11 @@ class SimpleFHG:
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.adj_masks)
 
-    def member_values(self, coalition: Coalition) -> dict[int, Fraction]:
+    def values_of(self, coalition: Coalition) -> tuple[Fraction, ...]:
         """Every member's value of ``coalition``, in ascending member order."""
         mask, adj = coalition.mask, self.adj_masks
         shares = _shares(coalition.size)
-        return {i: shares[(adj[i] & mask).bit_count()] for i in bits_of(mask)}
+        return tuple([shares[(adj[i] & mask).bit_count()] for i in bits_of(mask)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -261,10 +261,9 @@ class AnonymousHG:
             raise ValueError(f"coalition size {s} outside [1, {self.n}]")
         return self._cols[s - 1][i]
 
-    def member_values(self, coalition: Coalition) -> dict[int, float]:
+    def values_of(self, coalition: Coalition) -> tuple[float, ...]:
         """Every member's value of ``coalition``, in ascending member order."""
-        col = self._cols[coalition.size - 1]
-        return {i: col[i] for i in bits_of(coalition.mask)}
+        return tuple(map(self._cols[coalition.size - 1].__getitem__, bits_of(coalition.mask)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AnonymousHG) and self._cols == other._cols

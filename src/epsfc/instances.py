@@ -42,6 +42,8 @@ def random_fhg(n: int, p: float, seed) -> SimpleFHG:
     Arcs are drawn row-major with the diagonal skipped, so a fixed seed gives
     a bit-identical game.
     """
+    if n < 1:
+        raise ValueError("need at least one agent")
     if not 0 <= p <= 1:
         raise ValueError("arc probability must lie in [0, 1]")
     rng = _rng_of(seed)
@@ -57,6 +59,8 @@ def random_fhg(n: int, p: float, seed) -> SimpleFHG:
 
 def random_anon(n: int, seed) -> AnonymousHG:
     """Anonymous game with i.i.d. uniform per-(agent, size) values."""
+    if n < 1:
+        raise ValueError("need at least one agent")
     rng = _rng_of(seed)
     return AnonymousHG([[rng.random() for _ in range(n)] for _ in range(n)])
 
@@ -72,6 +76,8 @@ def random_anon_sp(n: int, seed) -> tuple[AnonymousHG, tuple[int, ...]]:
     that breadth matters because empty-core instances exist among general
     unimodal profiles but not among the distance-symmetric ones at small n.
     """
+    if n < 1:
+        raise ValueError("need at least one agent")
     rng = _rng_of(seed)
     table = []
     for _ in range(n):

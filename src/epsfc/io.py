@@ -7,17 +7,19 @@ other with a ValueError naming the field (or, for samples, ``path:line``).
 
 Sample files are JSON-lines, one record per line:
 ``{"S":[1,3,5],"v":["1/3","2/3",0.5]}`` lists the coalition's agents in
-ascending order and then each member's value in that order. Exact rationals
-are "p/q" strings and read back as the same Fractions; floats are JSON
-numbers and read back bit for bit; the writer refuses NaN, which the reader
-refuses too, and writes Infinity. Samples stream both ways: the writer
-consumes any iterable and the reader yields one record per line. Both build
-a repeated value (a float's or an agent id's text, a parsed float or
-Fraction) once per call, in a memo of bounded size. The reader scans each
-line with the JSON decoder's scanner directly and falls back to the full
-decode for any line that is not one value followed by its newline, so both
-routes accept the same lines with the same values and refuse the rest with
-the same messages.
+ascending order and then each member's value in that order. A record in
+memory is that line: the coalition and the tuple of its values in ascending
+member order. A line whose "S" is not ascending is still read, each value
+paired with its own agent. Exact rationals are "p/q" strings and read back
+as the same Fractions; floats are JSON numbers and read back bit for bit;
+the writer refuses NaN, which the reader refuses too, and writes Infinity.
+Samples stream both ways: the writer consumes any iterable and the reader
+yields one record per line. Both build a repeated value (a float's or an
+agent id's text, a parsed float or Fraction) once per call, in a memo of
+bounded size. The reader scans each line with the JSON decoder's scanner
+directly and falls back to the full decode for any line that is not one
+value followed by its newline, so both routes accept the same lines with the
+same values and refuse the rest with the same messages.
 """
 
 from __future__ import annotations
@@ -241,15 +243,11 @@ class _Memo(dict):
         return value
 
 
-def _is_nan(v) -> bool:
-    return isinstance(v, float) and v != v
-
-
 def write_samples(path, records) -> int:
     """Write records as JSON lines; returns how many were written.
 
     Each line is ``{"S":[agents],"v":[values]}``: 1-based agents ascending,
-    then each member's value in the same order. A float is written as
+    then the record's ``values`` as they stand. A float is written as
     ``json.dumps`` writes it, its text built once per distinct value; a
     Fraction is a "p/q" string; any other value is written as ``json.dumps``
     writes it with ``default=str``. An agent's text is built once per call.
@@ -258,31 +256,21 @@ def write_samples(path, records) -> int:
     records before it are already written.
     """
     encode = json.JSONEncoder(default=str).encode
-
-    def number(v) -> str:
-        if _is_nan(v):
-            raise ValueError("NaN is not a sample value")
-        return encode(v)
-
-    floats = _Memo(number)
+    floats = _Memo(encode)
     ids = _Memo(lambda i: str(i + 1))
     count = 0
     with open(path, "w") as fh:
         for count, rec in enumerate(records, 1):
             members = rec.coalition.members()
-            values = rec.member_values
-            try:
-                texts = [
-                    floats[v] if type(v) is float else f'"{v}"' if type(v) is Fraction else number(v)
-                    for v in map(values.__getitem__, members)
-                ]
-            except ValueError:
-                nan = [i + 1 for i in members if _is_nan(values[i])]
-                if not nan:
-                    raise
+            texts = [
+                floats[v] if type(v) is float else f'"{v}"' if type(v) is Fraction else encode(v)
+                for v in rec.values
+            ]
+            if "NaN" in texts:  # only a float NaN encodes to a bare NaN
                 raise ValueError(
-                    f"record {count}: agent {nan[0]}'s value is NaN, which a sample file cannot hold"
-                ) from None
+                    f"record {count}: agent {members[texts.index('NaN')] + 1}'s value is NaN, "
+                    "which a sample file cannot hold"
+                )
             fh.write(
                 '{"S":[%s],"v":[%s]}\n'
                 % (",".join(map(ids.__getitem__, members)), ",".join(texts))
@@ -300,11 +288,12 @@ def stream_samples(path, *, n: int | None = None) -> Iterator[SampleRecord]:
     """Yield the records of a sample file one line at a time.
 
     A "p/q" string reads back as an exact Fraction and every other JSON
-    number as a float. Raises ValueError naming ``path:line`` for a line
-    that is not a JSON object with "S" and "v", an "S" that is not a list or
+    number as a float, and the values come in ascending member order.
+    Raises ValueError naming ``path:line`` for a line that is not a JSON
+    object with "S" and "v", an "S" or "v" that is not a list, an "S" that
     is empty or repeats an agent, an agent id below 1 (or above ``n``, when
-    given: the id is checked before it is shifted into a mask), a "v" that
-    is not a list as long as "S", a NaN, or a value that is not a number or
+    given: the id is checked before it is shifted into a mask), a "v" not as
+    long as "S", a NaN, or a value that is not a number or
     a "p/q" string (null, true, a list, "1/0"). Infinity and -Infinity read
     as floats.
     """
@@ -334,10 +323,10 @@ def stream_samples(path, *, n: int | None = None) -> Iterator[SampleRecord]:
                 ids, raw = d["S"], d["v"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: not a sample record: {exc!r}") from None
-            if not ids:
-                raise ValueError(f"{path}:{lineno}: empty coalition")
             if type(ids) is not list or type(raw) is not list:
                 raise ValueError(f'{path}:{lineno}: "S" and "v" must be lists')
+            if not ids:
+                raise ValueError(f"{path}:{lineno}: empty coalition")
             mask = 0
             for a in ids:
                 if type(a) is not int or a < 1 or a > top:
@@ -348,11 +337,11 @@ def stream_samples(path, *, n: int | None = None) -> Iterator[SampleRecord]:
             if len(raw) != len(ids):
                 raise ValueError(f"{path}:{lineno}: {len(raw)} values for {len(ids)} agents")
             try:
-                values = {
-                    a - 1: x if type(x) is float else parse[type(x)](x) for a, x in zip(ids, raw)
-                }
+                values = tuple([x if type(x) is float else parse[type(x)](x) for x in raw])
             except (KeyError, ValueError, ArithmeticError):
                 raise ValueError(f"{path}:{lineno}: not every value in {raw} is a number") from None
+            if ids != sorted(ids):  # pair each value with its agent, in member order
+                values = tuple([x for _, x in sorted(zip(ids, values))])
             yield SampleRecord(Coalition(mask), values)
 
 

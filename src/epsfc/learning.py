@@ -1,5 +1,8 @@
 """Learning valuations from sampled coalitions.
 
+A sample is a ``SampleRecord``: the coalition and the tuple of its members'
+values in ascending member order, the shape of a sample file's line.
+
 Simple fractional games are recovered exactly: every sample containing agent
 i is one linear equation over i's unknown arc indicators (the sum of
 indicators over the other members equals value * size, an integer), and the
@@ -23,9 +26,10 @@ with the first aborts learning, since the model promises exact values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from itertools import repeat
+from typing import Iterable, Iterator
 
 from .distributions import SizeInterval, delta_bound
 from .errors import (
@@ -34,7 +38,7 @@ from .errors import (
     LearningError,
     UnderdeterminedError,
 )
-from .games import Coalition, SimpleFHG
+from .games import Coalition, SimpleFHG, bits_of
 
 __all__ = [
     "SampleRecord",
@@ -53,32 +57,22 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class SampleRecord:
-    """One observed coalition with each member's valuation of it."""
+    """One observed coalition and its members' values, in ascending member order."""
 
     coalition: Coalition
-    member_values: Mapping[int, object] = field(default_factory=dict)
+    values: tuple
 
     def __post_init__(self):
-        # One pass: OR the keys into a mask. Every key must be a member's id
-        # as an int, so 1.0 or True is refused even where it equals one.
-        mask = self.coalition.mask
-        top = mask.bit_length()
-        seen = 0
-        for i in self.member_values:
-            if type(i) is not int or not 0 <= i < top:
-                break
-            seen |= 1 << i
-        else:
-            if seen == mask:
-                return
-        raise ValueError("member_values must be keyed exactly by the coalition members")
+        if len(self.values) != self.coalition.size:
+            raise ValueError(f"{len(self.values)} values for {self.coalition.size} members")
 
 
 def iter_samples(game, dist, m: int, rng) -> Iterator[SampleRecord]:
     """Lazily draw m coalitions from ``dist``, each evaluated for its members."""
-    for _ in range(m):
-        c = dist.sample(rng)
-        yield SampleRecord(c, game.member_values(c))
+    if m < 0:
+        raise ValueError(f"cannot draw a negative number of samples ({m})")
+    values_of = game.values_of
+    return (SampleRecord(c, values_of(c)) for c in map(dist.sample, repeat(rng, m)))
 
 
 def draw_samples(game, dist, m: int, rng) -> list[SampleRecord]:
@@ -104,7 +98,7 @@ def _neighbor_counts(rec: SampleRecord) -> Iterator[tuple[int, int]]:
     refused when its scaled value is not finite.
     """
     size = rec.coalition.size
-    for agent, value in rec.member_values.items():
+    for agent, value in zip(bits_of(rec.coalition.mask), rec.values):
         # Two checks, Fraction first: a tuple isinstance costs twice as much
         # on an exact Fraction, the common value.
         if isinstance(value, Fraction) or isinstance(value, int):
@@ -312,20 +306,22 @@ def learn_anonymous(n: int, samples: Iterable[SampleRecord]) -> LearnedAnonymous
     ValueError: neither is a coalition of the n agents.
     """
     learned = LearnedAnonymous(n)
+    vals = learned._vals
     top = 1 << n
     for rec in samples:
+        mask = rec.coalition.mask
         s = rec.coalition.size
-        if not 0 < rec.coalition.mask < top:
+        if not 0 < mask < top:
             raise ValueError(
                 f"sample references agents outside [0, {n})" if s else "sample has an empty coalition"
             )
         learned.m += 1
         learned._size_sum += s
-        for i, v in rec.member_values.items():
+        for i, v in zip(bits_of(mask), rec.values):
             v = float(v)
-            existing = learned._vals[i].get(s)
+            existing = vals[i].get(s)
             if existing is None:
-                learned._vals[i][s] = v
+                vals[i][s] = v
             elif existing != v:
                 raise InconsistentSampleError(
                     f"agent {i} reported {existing!r} and {v!r} for size {s}", i

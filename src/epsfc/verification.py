@@ -315,6 +315,8 @@ def mc_blocking(
     """
     if m < 1:
         raise ValueError("need at least one sample")
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
     pred = blocker_predicate(game, partition)
     hits = sum(1 for _ in range(m) if pred(dist.sample(rng).mask))
     return McEstimate(

@@ -475,13 +475,22 @@ def reference_size_tilted_sampler(n, size_weights):
 
 
 def reference_fhg_draws(adj_rows, dist, m, rng):
-    """(mask, {member: Fraction(out-neighbours inside, size)}) for m draws of ``dist``,
-    each value built as a fresh Fraction."""
+    """(mask, values) for m draws of ``dist``: each member's Fraction(out-neighbours
+    inside, size), built fresh, in ascending member order."""
     draws = []
     for _ in range(m):
         mask = dist.sample(rng).mask
-        draws.append((mask, {i: naive_fhg_value(adj_rows, i, mask) for i in members_of(mask)}))
+        draws.append((mask, tuple(naive_fhg_value(adj_rows, i, mask) for i in members_of(mask))))
     return draws
+
+
+def direct_member_values(game, mask):
+    """{member: its value of ``mask``}, one agent at a time: a fresh Fraction from
+    a fractional game's adjacency masks, or an anonymous game's value at the size."""
+    members = members_of(mask)
+    if hasattr(game, "adj_masks"):
+        return {i: Fraction((game.adj_masks[i] & mask).bit_count(), len(members)) for i in members}
+    return {i: game.value_of_size(i, len(members)) for i in members}
 
 
 # --- Per-equation learning helpers ---
@@ -572,10 +581,7 @@ def reference_write_samples(path, records):
     with open(path, "w") as fh:
         for rec in records:
             members = list(reference_bits_of(rec.coalition.mask))
-            texts = [
-                f'"{v}"' if type(v) is Fraction else encode(v)
-                for v in map(rec.member_values.__getitem__, members)
-            ]
+            texts = [f'"{v}"' if type(v) is Fraction else encode(v) for v in rec.values]
             fh.write(
                 '{"S":[%s],"v":[%s]}\n'
                 % (",".join([str(i + 1) for i in members]), ",".join(texts))

@@ -17,6 +17,7 @@ from epsfc import (
     FamilyUniform,
     LearnedAnonymous,
     Partition,
+    SampleRecord,
     SimpleFHG,
     SizeInterval,
     SpLemmaReport,
@@ -80,6 +81,10 @@ def test_package_imports_exist():
         (LearnedAnonymous, "has_size"),
         (LearnedAnonymous, "sizes_known_for_all"),
         (SizeInterval, "__len__"),
+        # a sample's values are a tuple in member order, not a dict keyed by agent
+        (SampleRecord, "member_values"),
+        (SimpleFHG, "member_values"),
+        (AnonymousHG, "member_values"),
     ],
 )
 def test_deleted_alias_stays_deleted(owner, name):

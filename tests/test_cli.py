@@ -43,6 +43,16 @@ class TestGen:
     def test_missing_subcommand_usage(self):
         assert run() == 2
 
+    @pytest.mark.parametrize(
+        "kind, n, extra",
+        [("anon-random", -2, []), ("anon-sp-random", 0, []), ("fhg-random", 0, ["--p", 0.5])],
+    )
+    def test_no_agents_usage_error(self, tmp_path, capsys, kind, n, extra):
+        out = tmp_path / "g.json"
+        assert run("gen", "--kind", kind, "--n", n, *extra, "--out", out) == 2
+        assert capsys.readouterr().err == "usage: need at least one agent\n"
+        assert not out.exists()
+
 
 class TestSample:
     def test_zero_samples_empty_file(self, tmp_path):
@@ -51,6 +61,14 @@ class TestSample:
         run("gen", "--kind", "fhg-random", "--n", 6, "--p", 0.5, "--out", game)
         assert run("sample", "--game", game, "--m", 0, "--out", out) == 0
         assert out.read_text() == ""
+
+    def test_negative_count_usage_error(self, tmp_path, capsys):
+        game = tmp_path / "g.json"
+        out = tmp_path / "s.jsonl"
+        run("gen", "--kind", "fhg-random", "--n", 6, "--p", 0.5, "--out", game)
+        assert run("sample", "--game", game, "--m", -3, "--out", out) == 2
+        assert "negative number of samples" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_records_keyed_by_members(self, tmp_path):
         game = tmp_path / "g.json"
@@ -293,6 +311,14 @@ class TestVerify:
         assert run("verify", "--game", game, "--partition", part, "--mode", "mc", "--mc", 2000, "--seed", 3, "--out", out) == 0
         rep = json.loads(out.read_text())
         assert rep["row"]["p_hat"] != ""
+
+    @pytest.mark.parametrize("delta", [0, 3, 1.5])
+    def test_mc_delta_outside_the_unit_interval_usage_error(self, tmp_path, capsys, delta):
+        game, part = self._setup(tmp_path)
+        capsys.readouterr()
+        code = run("verify", "--game", game, "--partition", part, "--mode", "mc", "--delta", delta)
+        assert code == 2
+        assert capsys.readouterr().err == "usage: delta must lie in (0, 1)\n"
 
     def test_mc_within_ci_of_exact(self, tmp_path):
         game, part = self._setup(tmp_path, n=12)

@@ -22,6 +22,7 @@ from epsfc.instances import random_anon, random_fhg, random_partition
 from epsfc.verification import blocker_predicate
 from oracles import (
     ReferenceCertificate,
+    direct_member_values,
     naive_anon_blocks,
     naive_fhg_blocks,
     reference_bits_of,
@@ -84,17 +85,16 @@ class TestBitsOf:
 class TestValue:
     def test_mutual_pair_half(self):
         g = mutual_pair()
-        assert g.member_values(Coalition.of(0, 1))[0] == Fraction(1, 2)
+        assert g.values_of(Coalition.of(0, 1)) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_singleton_zero(self):
         g = random_fhg(6, 0.7, 1)
         for i in range(6):
-            assert g.member_values(Coalition.of(i))[i] == 0
+            assert g.values_of(Coalition.of(i)) == (0,)
 
     def test_anonymous_lookup(self):
-        g = AnonymousHG([[0.1, 0.7, 0.3]] * 3)
-        assert g.member_values(Coalition.of(1, 2))[2] == 0.7
-        assert g.member_values(Coalition.of(1, 2)) == {1: 0.7, 2: 0.7}
+        g = AnonymousHG([[0.1, 0.7, 0.3], [0.2, 0.6, 0.3], [0.1, 0.5, 0.3]])
+        assert g.values_of(Coalition.of(2, 1)) == (0.6, 0.5)
 
     def test_anonymous_values_come_from_the_table(self):
         g = random_anon(7, 3)
@@ -102,44 +102,38 @@ class TestValue:
         assert AnonymousHG(table) == g and hash(AnonymousHG(table)) == hash(g)
         for mask in range(1, 1 << 7):
             s = mask.bit_count()
-            expected = {i: table[i][s - 1] for i in reference_bits_of(mask)}
-            values = g.member_values(Coalition(mask))
-            assert values == expected and list(values) == list(expected)
-            assert all(g.value_of_size(i, s) == v for i, v in values.items())
+            values = g.values_of(Coalition(mask))
+            assert type(values) is tuple
+            assert values == tuple(table[i][s - 1] for i in reference_bits_of(mask))
 
     def test_fhg_value_range(self):
         g = random_fhg(8, 0.5, 3)
         for mask in range(1, 1 << 8):
             c = Coalition(mask)
-            for v in g.member_values(c).values():
+            for v in g.values_of(c):
                 assert 0 <= v <= Fraction(c.size - 1, c.size)
 
 
 @st.composite
-def _fhg_and_mask(draw):
+def _game_and_mask(draw):
+    """A fractional or an anonymous game on up to 70 agents, and a non-empty coalition."""
     n = draw(st.integers(1, 70))
-    rows = [draw(st.integers(0, (1 << n) - 1)) & ~(1 << i) for i in range(n)]
-    return SimpleFHG(n, rows), draw(st.integers(1, (1 << n) - 1))
+    if draw(st.booleans()):
+        game = SimpleFHG(n, [draw(st.integers(0, (1 << n) - 1)) & ~(1 << i) for i in range(n)])
+    else:
+        game = random_anon(n, draw(st.integers(0, 2**16)))
+    return game, draw(st.integers(1, (1 << n) - 1))
 
 
-def direct_values(game, mask):
-    """Each member's value built as a fresh Fraction."""
-    size = mask.bit_count()
-    return {
-        i: Fraction((game.adj_masks[i] & mask).bit_count(), size)
-        for i in range(game.n)
-        if mask >> i & 1
-    }
-
-
-class TestSharedFractions:
-    @given(_fhg_and_mask())
+class TestValuesOf:
+    @given(_game_and_mask())
     @settings(max_examples=300, deadline=None)
-    def test_member_values_equal_direct_fractions(self, case):
+    def test_values_pair_with_members_as_the_direct_values(self, case):
         game, mask = case
-        values = game.member_values(Coalition(mask))
-        assert values == direct_values(game, mask)
-        assert list(values) == sorted(values)
+        c = Coalition(mask)
+        values = game.values_of(c)
+        assert type(values) is tuple
+        assert dict(zip(c.members(), values)) == direct_member_values(game, mask)
 
     def test_values_rebuilt_after_eviction(self):
         # More distinct sizes than the table keeps, visited up and then down,
@@ -149,10 +143,12 @@ class TestSharedFractions:
         game = SimpleFHG(n, [rng.getrandbits(n) & ~(1 << i) for i in range(n)])
         for size in [*range(1, n + 1), *range(n, 0, -1)]:
             mask = sum(1 << i for i in rng.sample(range(n), size))
-            assert game.member_values(Coalition(mask)) == direct_values(game, mask)
+            c = Coalition(mask)
+            assert dict(zip(c.members(), game.values_of(c))) == direct_member_values(game, mask)
 
     def test_empty_coalition_has_no_values(self):
-        assert random_fhg(4, 0.5, 1).member_values(Coalition(0)) == {}
+        assert random_fhg(4, 0.5, 1).values_of(Coalition(0)) == ()
+        assert random_anon(4, 1).values_of(Coalition(0)) == ()
 
 
 class TestBlocks:

@@ -36,6 +36,18 @@ class TestRandomFhg:
             random_fhg(5, 1.5, 0)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize(
+    "make",
+    [lambda n: random_fhg(n, 0.5, 0), lambda n: random_anon(n, 0), lambda n: random_anon_sp(n, 0)],
+    ids=["fhg", "anon", "anon_sp"],
+)
+def test_random_games_need_an_agent(make, n):
+    with pytest.raises(ValueError, match="^need at least one agent$"):
+        make(n)
+    make(1)
+
+
 def peaks_of(game):
     """Each agent's peak size, read from the table."""
     return tuple(row.index(max(row)) + 1 for row in game.table())

@@ -174,18 +174,17 @@ class TestSamples:
         assert len(loaded) == 40
         for orig, back in zip(records, loaded):
             assert back.coalition == orig.coalition
-            for i, v in orig.member_values.items():
-                assert back.member_values[i] == v
+            assert back.values == orig.values
 
     def test_fraction_values_written_exactly(self, tmp_path):
-        rec = SampleRecord(Coalition.of(0, 1, 2), {0: Fraction(1, 3), 1: Fraction(0), 2: 0.25})
+        rec = SampleRecord(Coalition.of(0, 1, 2), (Fraction(1, 3), Fraction(0), 0.25))
         path = tmp_path / "s.jsonl"
         eio.write_samples(path, [rec])
         assert json.loads(path.read_text())["v"] == ["1/3", "0", 0.25]
-        assert eio.read_samples(path)[0].member_values == rec.member_values
+        assert eio.read_samples(path)[0].values == rec.values
 
     def test_one_based_agents_in_file(self, tmp_path):
-        rec = SampleRecord(Coalition.of(0, 4), {0: 0.5, 4: 0.0})
+        rec = SampleRecord(Coalition.of(0, 4), (0.5, 0.0))
         path = tmp_path / "s.jsonl"
         eio.write_samples(path, [rec])
         raw = json.loads(path.read_text().strip())
@@ -199,14 +198,14 @@ class TestSamples:
         assert eio.read_samples(path) == []
 
     def test_compact_member_order_lines(self, tmp_path):
-        rec = SampleRecord(Coalition.of(4, 0, 2), {4: 0.5, 0: Fraction(2, 3), 2: 3})
+        rec = SampleRecord(Coalition.of(4, 0, 2), (Fraction(2, 3), 3, 0.5))
         path = tmp_path / "s.jsonl"
         assert eio.write_samples(path, iter([rec, rec])) == 2
         assert path.read_text() == '{"S":[1,3,5],"v":["2/3",3,0.5]}\n' * 2
 
     def test_zeros_keep_their_sign(self, tmp_path):
-        records = [SampleRecord(Coalition.of(0, 1), {0: 0.0, 1: -0.0})] * 2
-        records.append(SampleRecord(Coalition.of(0, 1), {0: -0.0, 1: 0.0}))
+        records = [SampleRecord(Coalition.of(0, 1), (0.0, -0.0))] * 2
+        records.append(SampleRecord(Coalition.of(0, 1), (-0.0, 0.0)))
         path = tmp_path / "s.jsonl"
         eio.write_samples(path, records)
         assert path.read_text().splitlines() == [
@@ -221,18 +220,18 @@ class TestSamples:
         c = Coalition(0b01)
         path = tmp_path / "s.jsonl"
         with pytest.raises(ValueError, match=r"^record 1: agent 1's value is NaN"):
-            eio.write_samples(path, [SampleRecord(c, game.member_values(c))])
-        good = SampleRecord(Coalition.of(0, 1), {0: 0.5, 1: 0.25})
-        bad = SampleRecord(Coalition.of(0, 2, 3), {0: 0.5, 2: Fraction(1, 3), 3: math.nan})
+            eio.write_samples(path, [SampleRecord(c, game.values_of(c))])
+        good = SampleRecord(Coalition.of(0, 1), (0.5, 0.25))
+        bad = SampleRecord(Coalition.of(0, 2, 3), (0.5, Fraction(1, 3), math.nan))
         with pytest.raises(ValueError, match=r"^record 3: agent 4's value is NaN"):
             eio.write_samples(path, [good, good, bad])
 
     def test_infinities_are_written_and_read_back(self, tmp_path):
-        rec = SampleRecord(Coalition.of(0, 1), {0: math.inf, 1: -math.inf})
+        rec = SampleRecord(Coalition.of(0, 1), (math.inf, -math.inf))
         path = tmp_path / "s.jsonl"
         assert eio.write_samples(path, [rec, rec]) == 2
         assert path.read_text() == '{"S":[1,2],"v":[Infinity,-Infinity]}\n' * 2
-        assert [r.member_values for r in eio.read_samples(path)] == [rec.member_values] * 2
+        assert [r.values for r in eio.read_samples(path)] == [rec.values] * 2
 
     def test_memo_stops_growing_at_its_cap(self):
         made = []
@@ -247,23 +246,23 @@ class TestSamples:
         path = tmp_path / "s.jsonl"
         path.write_text('{"S":[1],"v":[0.5]}\n{"S":[],"v":[]}\n')
         stream = eio.stream_samples(path)
-        assert next(stream).member_values == {0: 0.5}
+        assert next(stream).values == (0.5,)
         with pytest.raises(ValueError):
             next(stream)
         path.write_text('{"S":[1],"v":[0.5]}\n\n{"S":[2],"v":[1]}\n')
         records = eio.read_samples(path)
         assert isinstance(records, list) and len(records) == 2
-        assert records[1].member_values == {1: 1.0}
+        assert records[1] == SampleRecord(Coalition.of(1), (1.0,))
 
 
 def _pair_signature(mask, values):
     """Coalition and values with each value's type and exact text, so that
     1/2 and 0.5, or 0.0 and -0.0, do not compare equal."""
-    return mask, sorted((i, type(v).__name__, repr(v)) for i, v in values.items())
+    return mask, [(type(v).__name__, repr(v)) for v in values]
 
 
 def _signature(rec):
-    return _pair_signature(rec.coalition.mask, rec.member_values)
+    return _pair_signature(rec.coalition.mask, rec.values)
 
 
 class TestMalformedSampleLines:
@@ -273,7 +272,9 @@ class TestMalformedSampleLines:
         "line, words",
         [
             ('{"S":[],"v":[]}', "empty coalition"),
-            ('{"S": [], "v": {}}', "empty coalition"),
+            ('{"S": [], "v": {}}', '"S" and "v" must be lists'),
+            ('{"S":0,"v":[]}', '"S" and "v" must be lists'),
+            ('{"S":{},"v":[]}', '"S" and "v" must be lists'),
             ('{"S":[1,1],"v":[0.5,0.5]}', "duplicate agent ids"),
             ('{"S":[2,3,2],"v":[0.5,0.5,0.5]}', "duplicate agent ids"),
             ('{"S":[0,2],"v":[0.5,0.5]}', "agent id 0"),
@@ -304,11 +305,28 @@ class TestMalformedSampleLines:
             eio.read_samples(path)
         assert words in str(info.value)
 
+    def test_unordered_agents_keep_their_own_values(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"S":[3,1],"v":[0.5,0.25]}\n')
+        learned = learn_anonymous(3, eio.stream_samples(path))
+        assert (learned.value_of_size(0, 2), learned.value_of_size(2, 2)) == (0.25, 0.5)
+        back = tmp_path / "back.jsonl"
+        eio.write_samples(back, eio.stream_samples(path))
+        assert back.read_text() == '{"S":[1,3],"v":[0.25,0.5]}\n'
+
+    def test_unordered_line_reads_in_member_order(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"S":[5,2,4],"v":["1/3",0.5,2]}\n{"S":[1,2],"v":[0.5,"1/4"]}\n')
+        assert eio.read_samples(path) == [
+            SampleRecord(Coalition.of(1, 3, 4), (0.5, 2.0, Fraction(1, 3))),
+            SampleRecord(Coalition.of(0, 1), (0.5, Fraction(1, 4))),
+        ]
+
     def test_infinities_read_as_floats(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"S":[1,2],"v":[Infinity,-Infinity]}\n')
         (rec,) = eio.read_samples(path)
-        assert rec.member_values == {0: math.inf, 1: -math.inf}
+        assert rec.values == (math.inf, -math.inf)
 
     @pytest.mark.parametrize("agent", [4, 10**7])
     def test_agent_past_n_rejected_before_it_is_shifted(self, tmp_path, agent):
@@ -355,7 +373,7 @@ def _sample_sets(draw):
     pool = draw(st.lists(_values, min_size=1, max_size=5))
     masks = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=m))
     return [
-        SampleRecord(Coalition(mask), {i: draw(st.sampled_from(pool)) for i in members_of(mask)})
+        SampleRecord(Coalition(mask), tuple(draw(st.sampled_from(pool)) for _ in members_of(mask)))
         for mask in masks
     ]
 
@@ -396,7 +414,8 @@ def _decode_outcome(path):
                 d = decode(line)
             except ValueError as exc:
                 return records, f"{path}:{lineno}: not a sample record: {exc!r}"
-            values = {a - 1: Fraction(x) if type(x) is str else float(x) for a, x in zip(d["S"], d["v"])}
+            pairs = sorted(zip(d["S"], d["v"]))
+            values = [Fraction(x) if type(x) is str else float(x) for _, x in pairs]
             records.append(_pair_signature(sum(1 << a - 1 for a in d["S"]), values))
     return records, None
 
@@ -411,7 +430,7 @@ class TestSampleRoundTrip:
             assert eio.write_samples(path, iter(records)) == len(records)
             back = list(eio.stream_samples(path))
         expected = [
-            _pair_signature(r.coalition.mask, {i: _read_back(v) for i, v in r.member_values.items()})
+            _pair_signature(r.coalition.mask, map(_read_back, r.values))
             for r in records
         ]
         assert [_signature(r) for r in back] == expected
@@ -443,7 +462,7 @@ class TestSampleRoundTrip:
     def test_more_distinct_floats_than_the_cap(self, tmp_path):
         rng = random.Random(4)
         records = [
-            SampleRecord(Coalition.of(0, 1, 2), {i: rng.random() for i in range(3)})
+            SampleRecord(Coalition.of(0, 1, 2), (rng.random(), rng.random(), rng.random()))
             for _ in range(3000)
         ]
         records += records[:50]  # repeats after the memo has filled

@@ -40,60 +40,24 @@ from oracles import (
 
 
 class TestSampleRecord:
-    def test_keys_exactly_the_members(self):
-        rec = SampleRecord(Coalition.of(0, 3), {3: 0.5, 0: Fraction(1, 2)})
-        assert rec.member_values == {0: 0.5, 3: 0.5}
-        assert SampleRecord(Coalition(0), {}).member_values == {}
+    def test_values_in_member_order(self):
+        rec = SampleRecord(Coalition.of(3, 0), (Fraction(1, 2), 0.25))
+        assert dict(zip(rec.coalition.members(), rec.values)) == {0: Fraction(1, 2), 3: 0.25}
+        assert SampleRecord(Coalition(0), ()).values == ()
 
     @pytest.mark.parametrize(
-        "values",
-        [
-            {0: 0.5},  # missing member 3
-            {0: 0.5, 3: 0.5, 1: 0.5},  # extra key inside the mask's range
-            {0: 0.5, 3: 0.5, 70: 0.5},  # extra key past its top bit
-            {0: 0.5, -3: 0.5},  # negative key
-            {0: 0.5, "3": 0.5},  # non-int key
-            {0: 0.5, 3.5: 0.5},
-            {0: 0.5, None: 0.5},
-            {},
-        ],
+        "mask, values", [(0b1001, (0.5,)), (0b1001, (0.5, 0.5, 0.5)), (0b1001, ()), (0, (0.5,))]
     )
-    def test_wrong_keys_rejected(self, values):
-        with pytest.raises(ValueError, match="keyed exactly by the coalition members"):
-            SampleRecord(Coalition.of(0, 3), values)
-
-    def test_keys_equal_to_members_accepted(self):
-        # Only int keys are member ids: 3.0 == 3 and True == 1, yet both are refused,
-        # since the learners index lists by these keys.
-        with pytest.raises(ValueError, match="keyed exactly by the coalition members"):
-            SampleRecord(Coalition.of(1, 3), {True: 0.5, 3.0: 0.5})
+    def test_wrong_length_rejected(self, mask, values):
+        size = mask.bit_count()
+        with pytest.raises(ValueError, match=f"^{len(values)} values for {size} members$"):
+            SampleRecord(Coalition(mask), values)
 
     def test_slotted_and_frozen(self):
-        rec = SampleRecord(Coalition.of(0), {0: 1.0})
+        rec = SampleRecord(Coalition.of(0), (1.0,))
         assert not hasattr(rec, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             rec.coalition = Coalition.of(1)
-
-    @settings(max_examples=400, deadline=None)
-    @given(
-        st.integers(0, 2**12 - 1),
-        st.lists(
-            st.one_of(
-                st.integers(-3, 14),
-                st.sampled_from([True, False, 2.0, 2.5, "1", None, Fraction(3), 10**30]),
-            ),
-            max_size=8,
-        ),
-    )
-    def test_accepts_exactly_what_set_equality_accepts(self, mask, keys):
-        values = dict.fromkeys(keys, 0.5)
-        expected_ok = set(values) == set(members_of(mask)) and all(type(k) is int for k in values)
-        try:
-            SampleRecord(Coalition(mask), values)
-        except ValueError:
-            assert not expected_ok
-        else:
-            assert expected_ok
 
 
 @pytest.mark.parametrize("n", [1, 5, 16, 60])
@@ -160,7 +124,7 @@ def fhg_records(game, masks):
     records = []
     for mask in masks:
         c = Coalition(mask)
-        records.append(SampleRecord(c, game.member_values(c)))
+        records.append(SampleRecord(c, game.values_of(c)))
     return records
 
 
@@ -191,7 +155,7 @@ class TestLearnFhg:
         records = []
         for pair in [(0, 1), (1, 2), (0, 2)]:
             c = Coalition.of(3, *pair)
-            records.append(SampleRecord(c, g.member_values(c)))
+            records.append(SampleRecord(c, g.values_of(c)))
         with pytest.raises(UnderdeterminedError) as exc:
             learn_fhg(4, records)
         # agents 0..2 lack data, agent 3's system solved via the fallback
@@ -200,8 +164,8 @@ class TestLearnFhg:
     def test_non_binary_solution_rejected(self):
         # claim value 1/4 in a pair: implies half an arc
         c = Coalition.of(0, 1)
-        rec = SampleRecord(c, {0: Fraction(1, 4), 1: Fraction(1, 2)})
-        records = [rec, SampleRecord(Coalition.of(0), {0: Fraction(0)})]
+        rec = SampleRecord(c, (Fraction(1, 4), Fraction(1, 2)))
+        records = [rec, SampleRecord(Coalition.of(0), (Fraction(0),))]
         with pytest.raises(InconsistentSampleError):
             learn_fhg(2, records)
 
@@ -209,8 +173,8 @@ class TestLearnFhg:
     def test_non_finite_float_names_the_agent(self, bad):
         # 1e308 is finite, but times the size 2 it is not
         records = [
-            SampleRecord(Coalition.of(0), {0: 0.0}),
-            SampleRecord(Coalition.of(0, 1), {0: 0.5, 1: bad}),
+            SampleRecord(Coalition.of(0), (0.0,)),
+            SampleRecord(Coalition.of(0, 1), (0.5, bad)),
         ]
         with pytest.raises(InconsistentSampleError, match="agent 1: .* no finite neighbor count") as exc:
             learn_fhg(2, records)
@@ -220,10 +184,7 @@ class TestLearnFhg:
         g = random_fhg(9, 0.5, 21)
         rng = random.Random(4)
         records = draw_samples(g, UniformCoalitions(9), 150, rng)
-        as_floats = [
-            SampleRecord(r.coalition, {i: float(v) for i, v in r.member_values.items()})
-            for r in records
-        ]
+        as_floats = [SampleRecord(r.coalition, tuple(map(float, r.values))) for r in records]
         assert learn_fhg(9, as_floats) == g
 
     def test_soundness_replay(self):
@@ -238,7 +199,7 @@ class TestLearnFhg:
             except LearningError:
                 continue
             for r in records:
-                assert learned.member_values(r.coalition) == r.member_values
+                assert learned.values_of(r.coalition) == r.values
 
     def test_empirical_rate_small(self):
         # at the guaranteed sample size the rate should be near-perfect
@@ -256,8 +217,13 @@ class TestLearnFhg:
         assert hits >= math.floor(trials * (1 - delta))
 
 
+def value_of(rec, i):
+    """Member i's value in ``rec``."""
+    return rec.values[members_of(rec.coalition.mask).index(i)]
+
+
 def agent_equations(records, i):
-    return [(r.coalition.mask, r.member_values[i]) for r in records if i in r.coalition]
+    return [(r.coalition.mask, value_of(r, i)) for r in records if i in r.coalition]
 
 
 def agent_rows(records, i):
@@ -279,11 +245,11 @@ def planted_fhg_samples(draw):
     for _ in range(draw(st.integers(0, 2)) if records else 0):
         r = rng.randrange(len(records))
         rec = records[r]
-        values = dict(rec.member_values)
+        values = list(rec.values)
         size = rec.coalition.size
-        values[rng.choice(sorted(values))] = Fraction(rng.randint(0, 2 * size + 2), 2 * size)
-        corrupted |= values != rec.member_values
-        records[r] = SampleRecord(rec.coalition, values)
+        values[rng.randrange(size)] = Fraction(rng.randint(0, 2 * size + 2), 2 * size)
+        corrupted |= tuple(values) != rec.values
+        records[r] = SampleRecord(rec.coalition, tuple(values))
     return n, game, records, corrupted
 
 
@@ -312,7 +278,7 @@ class TestLearnFhgOracle:
         g = SimpleFHG.from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         records = fhg_records(g, [0b011, 0b101, 0b110, 0b111])
         last = records[-1]
-        records[-1] = SampleRecord(last.coalition, {**last.member_values, 0: late_value})
+        records[-1] = SampleRecord(last.coalition, (late_value, *last.values[1:]))  # agent 0
         return records
 
     def test_mod2_inconsistency_after_full_rank(self):
@@ -348,8 +314,8 @@ class TestLearnFhgOracle:
         # parity, so GF(2) stays deficient and the rational path refutes it
         g, records = self._fallback_records()
         dup = records[-1]
-        assert dup.coalition.mask == 0b1101 and dup.member_values[3] == Fraction(2, 3)
-        records.append(SampleRecord(dup.coalition, {**dup.member_values, 3: Fraction(0)}))
+        assert dup.coalition.mask == 0b1101 and value_of(dup, 3) == Fraction(2, 3)
+        records.append(SampleRecord(dup.coalition, (*dup.values[:2], Fraction(0))))
         assert _solve_gf2(agent_rows(records, 3), 4) is None
         with pytest.raises(InconsistentSampleError) as exc:
             learn_fhg(4, records)
@@ -357,26 +323,23 @@ class TestLearnFhgOracle:
 
     def test_float_records_through_the_fallback(self):
         g, records = self._fallback_records()
-        as_floats = [
-            SampleRecord(r.coalition, {i: float(v) for i, v in r.member_values.items()})
-            for r in records
-        ]
+        as_floats = [SampleRecord(r.coalition, tuple(map(float, r.values))) for r in records]
         assert learn_fhg(4, as_floats) == g
 
     def test_float_value_off_the_size_grid(self):
         g, records = self._fallback_records()
         last = records[-1]
-        bad = {i: float(v) for i, v in last.member_values.items()}
-        bad[2] = 0.4  # not a multiple of 1/3
+        bad = [float(v) for v in last.values]
+        bad[1] = 0.4  # agent 2's value, not a multiple of 1/3
         with pytest.raises(InconsistentSampleError) as exc:
-            learn_fhg(4, records[:-1] + [SampleRecord(last.coalition, bad)])
+            learn_fhg(4, records[:-1] + [SampleRecord(last.coalition, tuple(bad))])
         assert exc.value.agent == 2
 
     def test_single_agent(self):
         assert learn_fhg(1, []) == SimpleFHG(1, [0])
         assert learn_fhg(1, fhg_records(SimpleFHG(1, [0]), [1])) == SimpleFHG(1, [0])
         with pytest.raises(InconsistentSampleError) as exc:
-            learn_fhg(1, [SampleRecord(Coalition.of(0), {0: 1})])
+            learn_fhg(1, [SampleRecord(Coalition.of(0), (1,))])
         assert exc.value.agent == 0
 
 
@@ -400,6 +363,13 @@ class TestIterableSamples:
                     assert from_gen.value_of_size(i, s) == from_list.value_of_size(i, s)
 
 
+    def test_negative_count_refused_before_any_draw(self):
+        rng = random.Random(8)
+        with pytest.raises(ValueError, match="negative number of samples"):
+            iter_samples(random_anon(3, 1), UniformCoalitions(3), -3, rng)
+        assert rng.getstate() == random.Random(8).getstate()
+        assert draw_samples(random_anon(3, 1), UniformCoalitions(3), 0, rng) == []
+
     def test_iter_samples_is_lazy_and_matches_draw_samples(self):
         for game in (random_fhg(9, 0.5, 1), random_anon(9, 1)):
             dist = UniformCoalitions(9)
@@ -407,9 +377,7 @@ class TestIterableSamples:
             first = [next(stream) for _ in range(50)]
             assert first == draw_samples(game, dist, 50, random.Random(8))
             for rec in first:
-                c = rec.coalition
-                assert rec.member_values == game.member_values(c)
-                assert list(rec.member_values) == list(c.members())
+                assert rec.values == game.values_of(rec.coalition)
 
 
 @pytest.mark.slow
@@ -436,7 +404,7 @@ def test_anonymous_fold_at_the_paper_sample_size():
 
 class TestLearnAnonymous:
     def test_single_pair_sample(self):
-        rec = SampleRecord(Coalition.of(0, 1), {0: 0.5, 1: 0.5})
+        rec = SampleRecord(Coalition.of(0, 1), (0.5, 0.5))
         learned = learn_anonymous(2, [rec])
         assert learned.known_table() == [[False, True], [False, True]]
         assert learned.value_of_size(0, 2) == 0.5
@@ -454,8 +422,8 @@ class TestLearnAnonymous:
             learned.value_of_size(0, 1)
 
     def test_conflicting_values_abort(self):
-        a = SampleRecord(Coalition.of(0, 1), {0: 0.5, 1: 0.5})
-        b = SampleRecord(Coalition.of(0, 2), {0: 0.25, 2: 0.5})
+        a = SampleRecord(Coalition.of(0, 1), (0.5, 0.5))
+        b = SampleRecord(Coalition.of(0, 2), (0.25, 0.5))
         with pytest.raises(InconsistentSampleError):
             learn_anonymous(3, [a, b])
 
@@ -474,20 +442,20 @@ class TestLearnAnonymous:
 
     def test_mu_hat_is_sample_mean(self):
         recs = [
-            SampleRecord(Coalition.of(0), {0: 0.1}),
-            SampleRecord(Coalition.of(0, 1, 2), {0: 0.2, 1: 0.2, 2: 0.2}),
+            SampleRecord(Coalition.of(0), (0.1,)),
+            SampleRecord(Coalition.of(0, 1, 2), (0.2, 0.2, 0.2)),
         ]
         assert learn_anonymous(3, recs).mu_hat == 2.0
 
     def test_empty_coalition_is_refused(self):
-        recs = [SampleRecord(Coalition(0), {}), SampleRecord(Coalition(0b11), {0: 0.5, 1: 0.7})]
+        recs = [SampleRecord(Coalition(0), ()), SampleRecord(Coalition(0b11), (0.5, 0.7))]
         with pytest.raises(ValueError, match="empty coalition"):
             learn_anonymous(2, recs)
         assert learn_anonymous(2, recs[1:]).mu_hat == 2.0
 
     def test_agent_past_n_is_refused(self):
         with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
-            learn_anonymous(2, [SampleRecord(Coalition.of(2), {2: 0.5})])
+            learn_anonymous(2, [SampleRecord(Coalition.of(2), (0.5,))])
 
 
 class _Ratio(Fraction):
@@ -516,7 +484,7 @@ def valued_records(draw):
     n = draw(st.integers(1, 8))
     mask = draw(st.integers(1, (1 << n) - 1))
     size = mask.bit_count()
-    return SampleRecord(Coalition(mask), {i: draw(sampled_values(size)) for i in members_of(mask)})
+    return SampleRecord(Coalition(mask), tuple(draw(sampled_values(size)) for _ in range(size)))
 
 
 def outcome(compute):
@@ -556,14 +524,14 @@ class TestPerRecordConversion:
         theirs = outcome(
             lambda: [
                 (i, reference_rhs_as_int(i, v, size))
-                for i, v in rec.member_values.items()
+                for i, v in zip(members_of(rec.coalition.mask), rec.values)
             ]
         )
         # The one intended difference: a float whose scaled value is not
         # finite is refused naming its agent; the reference let round() raise.
         if theirs[0] in (OverflowError, ValueError):
             agent = ours[1]
-            value = rec.member_values[agent]
+            value = value_of(rec, agent)
             assert ours[0] is InconsistentSampleError
             assert type(value) is float and not math.isfinite(value * size)
             assert f"agent {agent}: value {value} " in ours[2]

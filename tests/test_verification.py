@@ -312,6 +312,14 @@ class TestMcBlocking:
         est = mc_blocking(g, Partition.singletons(5), UniformCoalitions(5), 5000, rng=random.Random(9))
         assert est.p_hat == pytest.approx(10 / 31, abs=0.03)
 
+    @pytest.mark.parametrize("delta", [0, 1, 1.5, 3, -0.1, math.nan])
+    def test_delta_outside_the_open_unit_interval_refused(self, delta):
+        g = random_fhg(4, 0.5, 1)
+        rng = random.Random(0)
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\)$"):
+            mc_blocking(g, Partition.singletons(4), UniformCoalitions(4), 10, delta, rng=rng)
+        assert rng.getstate() == random.Random(0).getstate()  # refused before any draw
+
     def test_seeded_determinism(self):
         g = random_anon(7, 1)
         p = random_partition(7, 1)
