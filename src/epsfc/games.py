@@ -295,8 +295,8 @@ def check_single_peaked(game: AnonymousHG, ordering=None) -> tuple[int, ...]:
     """
     n = game.n
     order = tuple(range(1, n + 1)) if ordering is None else check_ordering(ordering, n)
-    for i in range(n):
-        seq = [game.value_of_size(i, s) for s in order]
+    cols = game._cols
+    for i, seq in enumerate(zip(*[cols[s - 1] for s in order])):  # agent i's values along order
         fell = False
         for pos in range(1, n):
             fell = fell or seq[pos] < seq[pos - 1]

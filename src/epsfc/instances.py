@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .distributions import _randbelow
 from .games import AnonymousHG, Coalition, Partition, SimpleFHG, check_single_peaked
 from .limits import check_bell_guard, check_subset_guard
 from .verification import certify_empty_core, partition_from_assignment
@@ -75,16 +76,23 @@ def random_anon_sp(n: int, seed) -> tuple[AnonymousHG, tuple[int, ...]]:
     reaches every unimodal profile, not only the distance-symmetric ones;
     that breadth matters because empty-core instances exist among general
     unimodal profiles but not among the distance-symmetric ones at small n.
+
+    The peak and the shuffle's swaps are drawn through ``getrandbits``
+    exactly as ``randrange(1, n + 1)`` and ``shuffle`` draw them, so a seed
+    gives the same game and leaves the generator in the same state.
     """
     if n < 1:
         raise ValueError("need at least one agent")
     rng = _rng_of(seed)
+    getrandbits, random_ = rng.getrandbits, rng.random
     table = []
     for _ in range(n):
-        peak = rng.randrange(1, n + 1)
-        values = sorted((rng.random() for _ in range(n)), reverse=True)
+        peak = 1 + _randbelow(getrandbits, n)
+        values = sorted([random_() for _ in range(n)], reverse=True)
         top, rest = values[0], values[1:]
-        rng.shuffle(rest)
+        for i in range(n - 2, 0, -1):  # shuffle(rest): swap slot i with one of slots 0..i
+            j = _randbelow(getrandbits, i + 1)
+            rest[i], rest[j] = rest[j], rest[i]
         # sizes 1 .. peak-1 rise to the peak, sizes peak+1 .. n fall from it
         table.append(sorted(rest[: peak - 1]) + [top] + sorted(rest[peak - 1 :], reverse=True))
     game = AnonymousHG(table)

@@ -63,6 +63,8 @@ class SampleRecord:
     values: tuple
 
     def __post_init__(self):
+        if not isinstance(self.values, tuple):  # a list would make the record unhashable
+            raise TypeError(f"values must be a tuple, not {type(self.values).__name__}")
         if len(self.values) != self.coalition.size:
             raise ValueError(f"{len(self.values)} values for {self.coalition.size} members")
 

@@ -13,7 +13,9 @@ every agent's test, found with one AND per agent. Anonymous games need no
 census and no guard: the agents that would strictly improve at size s form one
 bitmask improve[s], a size-s coalition blocks iff it is a subset of it, so
 C(|improve[s]|, s) size-s coalitions block. For the same reason their core
-is searched over block-size assignments rather than set partitions.
+is searched over block-size assignments rather than set partitions, with the
+per-size counts of would-be gainers packed side by side in one int, so that
+placing an agent tests every count with one AND and raises them with one add.
 
 Counts are split by coalition size, which is exactly what distribution-
 weighted blocking mass needs. Fractions and masses are exact rationals.
@@ -470,45 +472,63 @@ def _anon_stable_profile(game: AnonymousHG) -> Partition | None:
     agents left. An agent with the previous agent's row takes a size no
     smaller than that agent's. Each complete assignment reached is the size
     profile of a distinct set partition, so the Bell guard bounds the work.
+
+    The counts imp[1..n] travel down the recursion as one packed int, one
+    w-bit lane per size, so that testing a size and updating every count are
+    one AND and one add: agent i at size c is refused when ``hit & state`` is
+    non-zero, and otherwise its child receives ``state + gain``.
     """
     n = game.n
-    sizes = range(1, n + 1)
     rows = game.table()
-    # better[i][c - 1]: the sizes agent i strictly prefers to size c; better_mask as bits
-    better = [[[s for s in sizes if r[s - 1] > r[c - 1]] for c in sizes] for r in rows]
-    better_mask = [[sum(1 << s for s in b) for b in per] for per in better]
-    imp, cnt, size = [0] * (n + 1), [0] * (n + 1), [0] * n
+    # Lane s sits at bit (s - 1) * w and holds 2^(w-1) + imp[s] - (s - 1). A size is
+    # refused while some lane it would raise has its top bit set, that is while
+    # imp[s] == s - 1, so imp[s] <= s - 1 always and every lane stays within
+    # [2^(w-1) - (n - 1), 2^(w-1)]: 0 <= lane < 2^w, and no carry crosses a lane.
+    w = (n + 1).bit_length() + 1
+    # moves[i]: (c, hit, gain) for c = 1..n, where gain has a 1 in lane s for each size s
+    # that agent i strictly prefers to c, and hit = gain << (w - 1) picks those lanes' top bits
+    moves = []
+    for row in rows:
+        gain = [0] * n
+        seen = ahead = 0
+        last = None
+        # sizes by falling value; equal values share the lanes of all strictly better sizes,
+        # and a NaN value, which ``>`` ranks against nothing, neither gains nor is gained
+        for v, k in sorted(((v, k) for k, v in enumerate(row) if v == v), reverse=True):
+            if v != last:
+                ahead, last = seen, v
+            gain[k] = ahead
+            seen |= 1 << k * w
+        moves.append([(k + 1, g << w - 1, g) for k, g in enumerate(gain)])
+    same = [i > 0 and rows[i] == rows[i - 1] for i in range(n)]
+    cnt, size = [0] * (n + 1), [0] * n
 
-    def place(i: int, deficit: int, full: int) -> bool:
-        # full: the sizes s with imp[s] == s - 1, where one more gainer blocks
+    def place(i: int, deficit: int, state: int) -> bool:
         if i == n:
             return True  # the deficit test below leaves only deficit 0 here
-        lo = size[i - 1] if i and rows[i] == rows[i - 1] else 1
-        for c in range(lo, n + 1):
-            if better_mask[i][c - 1] & full:
+        room = n - 1 - i
+        for c, hit, gain in moves[i][size[i - 1] - 1 if same[i] else 0 :]:
+            if hit & state:
                 continue
             step = c - 1 if cnt[c] % c == 0 else -1  # opens a block, or fills a seat
-            if deficit + step > n - 1 - i:
+            if deficit + step > room:
                 continue
-            nxt = full
-            for s in better[i][c - 1]:
-                imp[s] += 1
-                nxt |= (imp[s] == s - 1) << s
             cnt[c] += 1
             size[i] = c
-            if place(i + 1, deficit + step, nxt):
+            if place(i + 1, deficit + step, state + gain):
                 return True
             cnt[c] -= 1
-            for s in better[i][c - 1]:
-                imp[s] -= 1
         return False
 
-    stable = place(0, 0, 1 << 1)  # one agent gaining at size 1 already blocks
+    # every imp[s] starts at 0, so lane s starts at 2^(w-1) - (s - 1): only lane 1 has its
+    # top bit set, since one agent gaining at size 1 already blocks
+    start = sum((1 << w - 1) - k << k * w for k in range(n))
+    stable = place(0, 0, start)
     del place  # it refers to itself; breaking that cycle frees the search state now
     if not stable:
         return None
     blocks = []
-    for c in sizes:
+    for c in range(1, n + 1):
         group = [i for i in range(n) if size[i] == c]
         blocks += [group[k : k + c] for k in range(0, len(group), c)]
     return Partition(blocks, n)

@@ -588,3 +588,74 @@ def reference_write_samples(path, records):
             )
             count += 1
     return count
+
+
+# --- The empty-core search and the single-peaked generator before packing ---
+#
+# The block-size core search with one counter per size, updated and undone in
+# loops, and the single-peaked generator on ``randrange`` and ``shuffle``:
+# the packed-counter search and the ``getrandbits`` generator must reproduce
+# them exactly.
+
+
+def reference_stable_profile(table):
+    """Blocks (lists of agents) of the first core-stable size profile, or None.
+
+    Agents 0, 1, ... take sizes c = 1..n in ascending order; imp[s] counts the
+    assigned agents that strictly prefer size s to their own, and a branch
+    dies once some imp[s] would reach s or the seats missing from open blocks
+    outnumber the agents left. An agent whose row equals the previous agent's
+    takes a size no smaller than that agent's. Blocks are packed by ascending
+    size, agents in ascending order.
+    """
+    n = len(table)
+    sizes = range(1, n + 1)
+    rows = [list(row) for row in table]
+    better = [[[s for s in sizes if r[s - 1] > r[c - 1]] for c in sizes] for r in rows]
+    better_mask = [[sum(1 << s for s in b) for b in per] for per in better]
+    imp, cnt, size = [0] * (n + 1), [0] * (n + 1), [0] * n
+
+    def place(i, deficit, full):
+        if i == n:
+            return True
+        lo = size[i - 1] if i and rows[i] == rows[i - 1] else 1
+        for c in range(lo, n + 1):
+            if better_mask[i][c - 1] & full:
+                continue
+            step = c - 1 if cnt[c] % c == 0 else -1
+            if deficit + step > n - 1 - i:
+                continue
+            nxt = full
+            for s in better[i][c - 1]:
+                imp[s] += 1
+                nxt |= (imp[s] == s - 1) << s
+            cnt[c] += 1
+            size[i] = c
+            if place(i + 1, deficit + step, nxt):
+                return True
+            cnt[c] -= 1
+            for s in better[i][c - 1]:
+                imp[s] -= 1
+        return False
+
+    if not place(0, 0, 1 << 1):
+        return None
+    blocks = []
+    for c in sizes:
+        group = [i for i in range(n) if size[i] == c]
+        blocks += [group[k : k + c] for k in range(0, len(group), c)]
+    return blocks
+
+
+def reference_random_anon_sp(n, rng):
+    """The table of a single-peaked anonymous game, drawn from ``rng`` by
+    ``randrange`` for each agent's peak and ``shuffle`` for the split of its
+    remaining values between the two sides of the peak."""
+    table = []
+    for _ in range(n):
+        peak = rng.randrange(1, n + 1)
+        values = sorted((rng.random() for _ in range(n)), reverse=True)
+        top, rest = values[0], values[1:]
+        rng.shuffle(rest)
+        table.append(sorted(rest[: peak - 1]) + [top] + sorted(rest[peak - 1 :], reverse=True))
+    return table

@@ -18,6 +18,7 @@ from epsfc import (
     random_partition,
 )
 from epsfc.errors import GuardError
+from oracles import reference_random_anon_sp
 
 
 class TestRandomFhg:
@@ -78,6 +79,18 @@ class TestRandomAnonSp:
     def test_peaks_vary_across_seeds(self):
         peaks = {peaks_of(random_anon_sp(7, seed)[0]) for seed in range(30)}
         assert len(peaks) > 10
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_stream_matches_randrange_and_shuffle(self, n):
+        for seed in range(20):
+            expected = reference_random_anon_sp(n, random.Random(seed))
+            game, ordering = random_anon_sp(n, seed)
+            assert game.table() == expected and ordering == tuple(range(1, n + 1))
+            ours, theirs = random.Random(seed), random.Random(seed)
+            game, ordering = random_anon_sp(n, ours)
+            assert game.table() == reference_random_anon_sp(n, theirs) == expected
+            assert ordering == tuple(range(1, n + 1))
+            assert ours.random() == theirs.random()
 
 
 class TestRandomPartition:

@@ -29,6 +29,7 @@ from epsfc import (
     mean_confidence_m,
 )
 from epsfc.instances import random_anon, random_fhg
+from epsfc.io import stream_samples, write_samples
 from epsfc.learning import _neighbor_counts, _solve_gf2
 from oracles import (
     fhg_row_solutions,
@@ -52,6 +53,20 @@ class TestSampleRecord:
         size = mask.bit_count()
         with pytest.raises(ValueError, match=f"^{len(values)} values for {size} members$"):
             SampleRecord(Coalition(mask), values)
+
+    @pytest.mark.parametrize("values", [[0.5, 0.25], None, "ab", iter((0.5, 0.25))])
+    def test_values_must_be_a_tuple(self, values):
+        with pytest.raises(TypeError, match=f"^values must be a tuple, not {type(values).__name__}$"):
+            SampleRecord(Coalition.of(0, 1), values)
+
+    def test_library_records_hold_tuples(self, tmp_path):
+        for game in (random_fhg(6, 0.5, 2), random_anon(6, 2)):
+            records = list(iter_samples(game, UniformCoalitions(6), 40, random.Random(3)))
+            path = tmp_path / "samples.jsonl"
+            write_samples(path, records)
+            read = list(stream_samples(path, n=6))
+            assert read == records
+            assert set(read) == set(records)  # both sides hashable
 
     def test_slotted_and_frozen(self):
         rec = SampleRecord(Coalition.of(0), (1.0,))

@@ -48,6 +48,7 @@ from oracles import (
     naive_anon_blocks,
     naive_fhg_blocking_count,
     naive_fhg_blocks,
+    reference_stable_profile,
 )
 from epsfc.instances import (
     find_empty_core_sp,
@@ -670,11 +671,23 @@ def _with_rows(game, picks):
     return AnonymousHG([rows[k] for k in picks])
 
 
+def _assert_reference_search(g):
+    """The packed search returns the reference search's partition, blocks in the same order."""
+    fast = find_core_stable_partition(g)
+    blocks = reference_stable_profile(g.table())
+    if blocks is None:
+        assert fast is None
+    else:
+        assert fast is not None
+        assert [sorted(b.members()) for b in fast.blocks] == blocks
+    return fast
+
+
 class TestAnonCoreSearch:
-    """The block-size core search against the set-partition sweep."""
+    """The block-size core search against the set-partition sweep and the reference search."""
 
     def _check(self, g):
-        fast = find_core_stable_partition(g)
+        fast = _assert_reference_search(g)
         assert (fast is None) == (_first_stable_by_sweep(g) is None)
         if fast is not None:
             assert _blocker_masks(g, fast) == []
@@ -699,6 +712,40 @@ class TestAnonCoreSearch:
             picks = [rnd.randrange(pool) for _ in range(n)]
             g = _with_rows(random_anon_sp(n, seed)[0], sorted(picks) if grouped else picks)
         self._check(g)
+
+    @given(
+        st.integers(1, 9),
+        st.sampled_from(["anon", "anon_sp", "tied", "nan", "adjacent", "scattered"]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_search(self, n, kind, rnd):
+        seed = rnd.getrandbits(32)
+        if kind == "anon":
+            g = random_anon(n, seed)
+        elif kind in ("tied", "nan"):
+            # one decimal leaves about ten distinct values, so rows tie across sizes;
+            # a NaN value is strictly preferred to nothing and nothing to it
+            g = AnonymousHG(
+                [
+                    [math.nan if kind == "nan" and v < 0.2 else round(v, 1) for v in row]
+                    for row in random_anon(n, seed).table()
+                ]
+            )
+        else:
+            g = random_anon_sp(n, seed)[0]
+            if kind != "anon_sp":
+                picks = [rnd.randrange(min(n, 3)) for _ in range(n)]
+                g = _with_rows(g, sorted(picks) if kind == "adjacent" else picks)
+        _assert_reference_search(g)
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 14, 15, 16])
+    def test_reference_search_across_lane_widths(self, n, monkeypatch):
+        # the lane width (n + 1).bit_length() + 1 grows from 4 to 5 bits at n = 7 and to 6 at n = 15
+        monkeypatch.setenv("EPSFC_MAX_N", "16")
+        for seed in range(4):
+            _assert_reference_search(random_anon_sp(n, seed)[0])
+            _assert_reference_search(random_anon(n, seed))
 
     @pytest.mark.parametrize("n, seed", [(7, 1), (8, 0), (9, 1)])
     def test_empty_core_instances(self, n, seed):
