@@ -7,7 +7,8 @@ grid into a CSV. Every command is deterministic given --seed, and
 ``experiment`` given its config, whose ``seed`` is the root seed.
 
 Exit codes: 0 success, 2 usage error, 3 enumeration guard, 4 learning
-failure or empty size window, 5 verification found a violation.
+failure, empty size window or a distribution with no finite lambda,
+5 verification found a violation.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
     InconsistentSampleError,
     LearningError,
     PartitionError,
+    UnboundedLambdaError,
     UnderdeterminedError,
 )
 from .games import AnonymousHG, SimpleFHG, check_ordering, check_single_peaked
@@ -132,21 +134,20 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _stabilize(klass: str, view, dist, eps: float, lam: float, alpha, ordering):
+def _stabilize(klass: str, view, dist, eps: float, ordering):
     """Run the stabilizer of ``klass`` on ``view``.
 
-    The anonymous classes pick their size window here: a learned table
-    estimates it from its samples, an exact game takes the window around the
-    mean size under ``dist``.
+    The anonymous classes pick their size window here, under the ratio bound
+    ``dist`` states: a learned table estimates it from its samples, an exact
+    game takes the window around the mean size under ``dist``.
     """
     if klass == "fhg":
         return stabilize_fhg(view)
+    lam = float(dist.lambda_bound())
     if isinstance(view, LearnedAnonymous):
-        window = estimate_interval(view, lam, eps, alpha)
+        window = estimate_interval(view, lam, eps)
     else:
         window = size_interval(float(mean_size(dist)), lam, eps, view.n)
-    if not window.sizes:  # estimate_interval raises on its own
-        raise EmptyIntervalError(f"no integer size falls in ({window.lo:.3f}, {window.hi:.3f})")
     if klass == "anon":
         return stabilize_anonymous(view, window)
     return stabilize_single_peaked(view, ordering, window)
@@ -164,11 +165,12 @@ def cmd_stabilize(args) -> int:
     if bool(args.game) == bool(args.samples):
         raise UsageError("exactly one of --game or --samples is required")
     loaded = eio.load_game(args.game) if args.game else None
+    if loaded is None and args.n is None:
+        raise UsageError("--n is required with --samples")
+    dist = _load_dist(args.dist, args.n if loaded is None else loaded.game.n)
     if loaded is not None:
         view = loaded.game
         _check_class(klass, view)
-    elif args.n is None:
-        raise UsageError("--n is required with --samples")
     else:
         learn = learn_fhg if klass == "fhg" else learn_anonymous
         # The library numbers agents from 0; the sample file numbers them from 1.
@@ -181,7 +183,6 @@ def cmd_stabilize(args) -> int:
                                        count=1)) from None
         except UnderdeterminedError as exc:
             raise LearningError(f"underdetermined agents: {[i + 1 for i in exc.agents]}") from None
-    dist = _load_dist(args.dist, view.n) if loaded is not None and klass != "fhg" else None
     ordering = loaded.sp_ordering if loaded is not None else None
     if klass == "anon-sp" and args.ordering:
         try:
@@ -199,7 +200,7 @@ def cmd_stabilize(args) -> int:
     elif ordering is None:
         # Sample-driven runs trust the ordering; a partial table cannot be checked.
         ordering = tuple(range(1, view.n + 1))
-    partition, trace = _stabilize(klass, view, dist, args.eps, args.lam, args.alpha, ordering)
+    partition, trace = _stabilize(klass, view, dist, args.eps, ordering)
     eio.save_partition(args.out, partition)
     print(f"wrote partition with {len(partition)} blocks to {args.out}")
     if args.trace:
@@ -246,7 +247,9 @@ def cmd_verify(args) -> int:
     partition = eio.load_partition(args.partition, game.n)
     dist = _load_dist(args.dist, game.n)
     klass = args.klass or ("fhg" if isinstance(game, SimpleFHG) else "anon")
-    floor = choose_epsilon_floor(game.n, args.lam, klass)
+    floor = ""  # stays blank under a distribution with no finite lambda
+    with contextlib.suppress(UnboundedLambdaError):
+        floor = f"{choose_epsilon_floor(game.n, float(dist.lambda_bound()), klass):.6g}"
     started = time.perf_counter()
     report = estimate = None
     if args.mode == "exact":
@@ -260,7 +263,7 @@ def cmd_verify(args) -> int:
     row = {
         "n": game.n,
         "class": klass,
-        "eps_floor": f"{floor:.6g}",
+        "eps_floor": floor,
         **_blocking_fields(report, estimate),
         "seed": args.seed,
         "wall_ms": wall_ms,
@@ -310,8 +313,6 @@ _EXPERIMENT_KEYS = {
     "seeds": ([0], _INT),
     "eps": (0.1, _NUMBER),
     "delta": (0.1, _NUMBER),
-    "lambda": (1.0, _NUMBER),
-    "alpha": (None, _NUMBER),
     "learn": (False, (lambda v: type(v) is bool, "true or false")),
     "mc": (0, _INT),
     "seed": (0, _INT),
@@ -340,15 +341,15 @@ def _read_config(path) -> dict:
 
 def _run_cell(config: dict, cell: tuple) -> dict:
     index, n, p, seed = cell
-    klass, root_seed, delta = config["class"], config["seed"], config["delta"]
-    lam, eps = config["lambda"], config["eps"]
+    klass, root_seed, delta, eps = config["class"], config["seed"], config["delta"], config["eps"]
     row = dict.fromkeys(EXPERIMENT_COLUMNS, "")
     row.update({"cell": index, "class": klass, "n": n, "seed": seed, "status": "ok"})
     row["p"] = "" if p is None else p
     try:
+        dist = UniformCoalitions(n)
+        lam = float(dist.lambda_bound())
         row["eps_floor"] = f"{choose_epsilon_floor(n, lam, klass):.6g}"
         game, ordering = _random_game(klass, n, p, _sub_seed(root_seed, "gen", index, seed))
-        dist = UniformCoalitions(n)
         view = game
         if config["learn"]:
             rng = random.Random(_sub_seed(root_seed, "sample", index, seed))
@@ -357,7 +358,7 @@ def _run_cell(config: dict, cell: tuple) -> dict:
             else:
                 learn, m = learn_anonymous, anon_sample_size(n, delta, eps, lam)
             view = learn(n, iter_samples(game, dist, m, rng))
-        partition, _ = _stabilize(klass, view, dist, eps, lam, config["alpha"], ordering)
+        partition, _ = _stabilize(klass, view, dist, eps, ordering)
         report = exact_blocking(game, partition, dist=dist)
         estimate = None
         if config["mc"]:
@@ -441,10 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", help="exact game input")
     p.add_argument("--samples", help="sample-file input (learning phase first)")
     p.add_argument("--n", type=int, help="agent count (required with --samples)")
-    p.add_argument("--dist", help="distribution spec (anonymous window, game input)")
+    p.add_argument("--dist", help="distribution spec; its ratio bound sets the anonymous window")
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--alpha", type=float)
     p.add_argument("--ordering", help="JSON size ordering for anon-sp")
     p.add_argument("--out", required=True)
     p.add_argument("--trace", help="write the construction trace as JSON")
@@ -453,12 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="measure blocking exactly or by sampling")
     p.add_argument("--game", required=True)
     p.add_argument("--partition", required=True)
-    p.add_argument("--dist", help="distribution spec file or inline JSON")
+    p.add_argument("--dist", help="distribution spec; its ratio bound sets eps_floor")
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p.add_argument("--class", dest="klass", choices=_CLASSES)
     p.add_argument("--mc", type=int, default=100_000, help="sample count for mc mode")
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--eps", type=float, help="threshold; measured >= eps exits 5")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="append the result row to this CSV")
@@ -485,7 +483,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (LearningError, EmptyIntervalError) as exc:
+    except (LearningError, EmptyIntervalError, UnboundedLambdaError) as exc:
         print(f"learning: {exc}", file=sys.stderr)
         return EXIT_LEARNING
     except (UsageError, PartitionError, FileNotFoundError, ValueError) as exc:

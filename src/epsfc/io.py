@@ -1,9 +1,10 @@
 """JSON interchange for games, partitions, distributions, samples, reports.
 
 Agents and sizes are 1-based in every file format (matching the usual
-human-facing convention) and 0-based in memory; the shift happens here and
-nowhere else. Each input has one accepted shape, and a reader refuses any
-other with a ValueError naming the field (or, for samples, ``path:line``).
+human-facing convention) and 0-based in memory; the readers and writers here
+shift them, and ``cli`` shifts the agent a learning or single-peaked error
+names. Each input has one accepted shape, and a reader refuses any other
+with a ValueError naming the field (or, for samples, ``path:line``).
 
 Sample files are JSON-lines, one record per line:
 ``{"S":[1,3,5],"v":["1/3","2/3",0.5]}`` lists the coalition's agents in

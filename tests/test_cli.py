@@ -5,9 +5,20 @@ import os
 
 import pytest
 
-from epsfc import cli
+from epsfc import (
+    cli,
+    exact_blocking,
+    extend_fhg,
+    mean_size,
+    size_interval,
+    stabilize_anonymous,
+)
 from epsfc import io as eio
 from epsfc.cli import main
+
+# lambda = 4 at n = 32, and a family with zero mass off its support (no finite lambda)
+TILTED_32 = json.dumps({"kind": "size_tilted", "g": [4] + [1] * 31})
+FAMILY = '{"kind": "family", "support": [[1, 2]]}'
 
 
 def run(*argv):
@@ -39,6 +50,22 @@ class TestGen:
         loaded = eio.load_game(ext)
         assert loaded.game.n == 8
         assert loaded.sp_ordering == tuple(range(1, 9))
+
+    def test_fhg_extend_pipeline(self, tmp_path):
+        base = tmp_path / "base.json"
+        ext = tmp_path / "ext.json"
+        assert run("gen", "--kind", "fhg-random", "--n", 5, "--p", 0.5, "--seed", 1, "--out", base) == 0
+        assert run("gen", "--kind", "fhg-extend", "--n", 8, "--base", base, "--out", ext) == 0
+        loaded = eio.load_game(ext)
+        assert loaded.game == extend_fhg(eio.load_game(base).game, 8)
+        assert loaded.provenance["base_n"] == 5 and loaded.sp_ordering is None
+
+    @pytest.mark.parametrize("kind", ["fhg-extend", "anon-sp-extend"])
+    def test_extend_without_base_usage_error(self, tmp_path, capsys, kind):
+        out = tmp_path / "ext.json"
+        assert run("gen", "--kind", kind, "--n", 8, "--out", out) == 2
+        assert capsys.readouterr().err == f"usage: --base is required for {kind}\n"
+        assert not out.exists()
 
     def test_missing_subcommand_usage(self):
         assert run() == 2
@@ -192,16 +219,25 @@ class TestStabilize:
         assert code == 2
         assert f"usage: {samples}:1: not a sample record: ValueError('NaN is not a sample value')" in capsys.readouterr().err
 
-    def test_game_and_samples_mutually_exclusive(self, tmp_path):
+    def test_game_and_samples_mutually_exclusive(self, tmp_path, capsys):
         assert run("stabilize", "--class", "fhg", "--out", tmp_path / "p.json") == 2
+        capsys.readouterr()
+        assert run("stabilize", "--class", "fhg", "--samples", tmp_path / "s.jsonl",
+                   "--out", tmp_path / "p.json") == 2
+        assert capsys.readouterr().err == "usage: --n is required with --samples\n"
 
     def test_removed_flags_are_usage_errors(self, tmp_path):
         game = tmp_path / "g.json"
         out = tmp_path / "p.json"
         run("gen", "--kind", "fhg-random", "--n", 6, "--p", 0.5, "--out", game)
-        for flag in ("--delta", "--seed"):
+        for flag in ("--delta", "--seed", "--lambda", "--alpha"):
             assert run("stabilize", "--class", "fhg", "--game", game, "--out", out, flag, 1) == 2
-        assert not out.exists()
+        part = tmp_path / "part.json"
+        part.write_text('{"blocks": [[1, 2, 3, 4, 5, 6]]}')
+        rows = tmp_path / "rows.csv"
+        assert run("verify", "--game", game, "--partition", part, "--csv", rows, "--out", out,
+                   "--lambda", 1) == 2
+        assert not out.exists() and not rows.exists()
 
     def test_sample_driven_repeat_harness(self, tmp_path):
         # at the guaranteed sample budget the learner-backed run should
@@ -228,10 +264,60 @@ class TestStabilize:
         code = run(
             "stabilize", "--class", "anon", "--game", game,
             "--dist", '{"kind": "size_tilted", "g": [2, 1, 1, 1, 1, 1, 1, 1, 2]}',
-            "--eps", 0.3, "--lambda", 2, "--out", out,
+            "--eps", 0.3, "--out", out,
         )
         assert code == 0
         assert eio.load_partition(out, 9).n == 9
+
+    def test_game_input_window_takes_lambda_from_dist(self, tmp_path):
+        # at lambda = 1 the window would be 27 sizes, not all 32, and the partition another
+        game = tmp_path / "g.json"
+        out = tmp_path / "p.json"
+        run("gen", "--kind", "anon-random", "--n", 32, "--seed", 1, "--out", game)
+        assert run("stabilize", "--class", "anon", "--game", game, "--dist", TILTED_32,
+                   "--eps", 0.1, "--out", out) == 0
+        g = eio.load_game(game).game
+        mu = float(mean_size(eio.distribution_from_dict(json.loads(TILTED_32), 32)))
+        want, _ = stabilize_anonymous(g, size_interval(mu, 4, 0.1, 32))
+        at_one, _ = stabilize_anonymous(g, size_interval(mu, 1, 0.1, 32))
+        assert eio.load_partition(out, 32) == want != at_one
+
+    def test_sample_input_window_takes_lambda_from_dist(self, tmp_path, monkeypatch):
+        spec = '{"kind": "size_tilted", "g": [2, 1, 1, 1, 1, 1, 1, 1]}'
+        game = tmp_path / "g.json"
+        samples = tmp_path / "s.jsonl"
+        out = tmp_path / "p.json"
+        run("gen", "--kind", "anon-random", "--n", 8, "--seed", 6, "--out", game)
+        run("sample", "--game", game, "--m", 3000, "--seed", 1, "--dist", spec, "--out", samples)
+        calls = []
+        real = cli.estimate_interval
+
+        def recorded(learned, *args, **kwargs):
+            calls.append((args, kwargs))
+            return real(learned, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_interval", recorded)
+        assert run("stabilize", "--class", "anon", "--samples", samples, "--n", 8,
+                   "--dist", spec, "--eps", 0.3, "--out", out) == 0
+        assert calls == [((2.0, 0.3), {})]
+
+    @pytest.mark.parametrize("klass, kind", [("anon", "anon-random"), ("anon-sp", "anon-sp-random")])
+    def test_dist_without_finite_lambda_is_a_learning_error(self, tmp_path, capsys, klass, kind):
+        game = tmp_path / "g.json"
+        samples = tmp_path / "s.jsonl"
+        out = tmp_path / "p.json"
+        run("gen", "--kind", kind, "--n", 6, "--seed", 2, "--out", game)
+        run("sample", "--game", game, "--m", 2000, "--seed", 1, "--out", samples)
+        capsys.readouterr()
+        for source in (["--game", game], ["--samples", samples, "--n", 6]):
+            assert run("stabilize", "--class", klass, *source, "--dist", FAMILY, "--eps", 0.5,
+                       "--out", out) == 4
+            assert capsys.readouterr().err.startswith("learning: a family-uniform distribution")
+        assert not out.exists()
+        fhg = tmp_path / "fhg.json"
+        run("gen", "--kind", "fhg-random", "--n", 6, "--p", 0.5, "--out", fhg)
+        # the fractional stabilizer takes no size window, so it needs no lambda
+        assert run("stabilize", "--class", "fhg", "--game", fhg, "--dist", FAMILY, "--out", out) == 0
 
 
     @pytest.mark.parametrize("ordering", ["[1]", "3", "[1, 2, 2, 4, 5, 6, 7, 8]", "[1, 2"])
@@ -380,6 +466,22 @@ class TestVerify:
             capsys.readouterr()
             assert run(*command, "--game", game, "--class", klass) == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, extra", [("fhg-random", ["--p", 0.5]), ("anon-random", [])])
+    def test_dist_without_finite_lambda_leaves_eps_floor_blank(self, tmp_path, kind, extra):
+        game = tmp_path / "g.json"
+        part = tmp_path / "p.json"
+        rows = tmp_path / "rows.csv"
+        run("gen", "--kind", kind, "--n", 6, *extra, "--seed", 3, "--out", game)
+        part.write_text('{"blocks": [[1, 2, 3], [4, 5, 6]]}')
+        assert run("verify", "--game", game, "--partition", part, "--dist", FAMILY,
+                   "--csv", rows) == 0
+        (row,) = csv.DictReader(rows.open())
+        report = exact_blocking(eio.load_game(game).game, eio.load_partition(part, 6),
+                                dist=eio.distribution_from_dict(json.loads(FAMILY), 6))
+        assert row["eps_floor"] == ""
+        assert (row["fraction"], row["mass"]) == (f"{float(report.fraction):.10g}",
+                                                  f"{float(report.mass):.10g}")
 
     def test_violation_exit_code(self, tmp_path):
         # a mutual pair against singletons blocks 1/3 > eps
@@ -572,6 +674,8 @@ class TestExperiment:
             ('{"sed":3}', "unknown keys ['sed']"),
             ('{"class":["fhg","anon"]}', "'class' is ['fhg', 'anon']"),
             ('{"class":"anon-random"}', "'class' is 'anon-random'"),
+            ('{"lambda":2}', "unknown keys ['lambda']"),
+            ('{"alpha":0.1}', "unknown keys ['alpha']"),
         ],
     )
     def test_bad_config_refused_before_any_cell(self, tmp_path, monkeypatch, capsys, text, names):
@@ -642,3 +746,15 @@ class TestExperiment:
         assert run("experiment", "--config", cfg, "--out", out) == 0
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 1 and rows[0]["status"] == "ok"
+
+    def test_fhg_learn_cells_match_the_exact_game(self, tmp_path):
+        # learning recovers a simple game exactly, so every ok cell measures the same
+        out = {}
+        for learn in (False, True):
+            cfg = self._config(tmp_path, n=[6], p=[0.3, 0.7], seeds=[0, 1], mc=0, learn=learn)
+            out[learn] = tmp_path / f"learn_{learn}.csv"
+            assert run("experiment", "--config", cfg, "--out", out[learn]) == 0
+        exact, learned = (list(csv.DictReader(out[k].open())) for k in (False, True))
+        assert all(r["status"] == "ok" for r in exact)
+        ok = [(e, r) for e, r in zip(exact, learned) if r["status"] == "ok"]
+        assert ok and all((e["fraction"], e["mass"]) == (r["fraction"], r["mass"]) for e, r in ok)

@@ -184,6 +184,22 @@ class TestLearnFhg:
         with pytest.raises(InconsistentSampleError):
             learn_fhg(2, records)
 
+    def test_unique_rational_solution_off_zero_one_rejected(self):
+        # each of agent 0's three rows sums two arcs to 1: inconsistent mod 2,
+        # so the rational fallback runs and finds every arc at 1/2
+        third = Fraction(1, 3)
+        records = [SampleRecord(Coalition.of(*s), (third,) * 3)
+                   for s in [(0, 1, 2), (0, 2, 3), (0, 1, 3)]]
+        with pytest.raises(InconsistentSampleError,
+                           match="^agent 0: unique rational solution is not 0/1-valued$") as exc:
+            learn_fhg(4, records)
+        assert exc.value.agent == 0
+
+    def test_record_past_the_last_agent_rejected(self):
+        records = [SampleRecord(Coalition.of(0, 2), (Fraction(0), Fraction(0)))]
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            learn_fhg(2, records)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e308])
     def test_non_finite_float_names_the_agent(self, bad):
         # 1e308 is finite, but times the size 2 it is not
